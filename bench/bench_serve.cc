@@ -37,7 +37,8 @@ namespace
 using namespace menda;
 namespace json = obs::json;
 
-/** Nearest-rank percentile (matches ServeCore's latency summaries). */
+/** Exact nearest-rank percentile: the client-side oracle for the
+ *  daemon's histogram-estimated quantiles. */
 double
 percentile(std::vector<double> samples, double pct)
 {
@@ -229,7 +230,7 @@ runPolicy(serve::SchedPolicy policy,
     if (artifacts) {
         artifacts->journal = core.journalJsonl();
         artifacts->trace = core.jobTraceJson();
-        artifacts->prometheus = core.prometheusText();
+        artifacts->prometheus = obs::renderPrometheus(core.metricFamilies());
     }
     return stats;
 }

@@ -46,13 +46,13 @@ struct SystemConfig
 
     /**
      * Host worker threads for the cycle simulation itself. PUs never
-     * communicate during a pass (Sec. 3.5), so with hostThreads > 1
-     * every (PU, controller) pair runs on its own TickScheduler shard
-     * across a thread pool and the shards are joined before the
-     * merge/collect phase; 0 picks the hardware concurrency. With the
-     * default of 1 the legacy single-scheduler sequential path is used.
-     * Results (outputs, counters, simulated time) are bit-identical in
-     * every mode.
+     * communicate during a pass (Sec. 3.5), so every run (KernelJob)
+     * gives each (PU, controller) pair its own TickScheduler shard and
+     * joins the shards before the merge/collect phase. hostThreads > 1
+     * spreads the shards across a thread pool; the default of 1 runs
+     * them one after another on the calling thread; 0 picks the
+     * hardware concurrency. Results (outputs, counters, simulated
+     * time) are bit-identical for every thread count.
      */
     unsigned hostThreads = 1;
 
@@ -200,10 +200,9 @@ class MendaSystem
     /**
      * Trace the next run into @p tracer (one shard per rank). The
      * tracer must outlive the run; pass nullptr to stop tracing. Use a
-     * fresh Tracer per run. Traced (or sampled) runs always take the
-     * sharded simulation path — even with hostThreads == 1 — so the
-     * idle-skip schedule, and with it the trace, is identical for every
-     * host thread count.
+     * fresh Tracer per run. Every run is sharded per rank (see
+     * SystemConfig::hostThreads), so the idle-skip schedule, and with
+     * it the trace, is identical for every host thread count.
      */
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
 

@@ -10,8 +10,11 @@
  * of garbage.
  *
  * Requests are objects with a "type" field: "submit", "status",
- * "stats", "shutdown". Responses mirror with "submitted", "jobStatus",
- * "stats", "shuttingDown", or "error" (typed "code" + human "message").
+ * "metrics", "stats.stream", "shutdown". Responses mirror with
+ * "submitted", "jobStatus", "metrics", "journal", "shuttingDown", or
+ * "error" (typed "code" + human "message"). "metrics" carries the
+ * daemon's metric families — its only stats source — as canonical
+ * JSON or, with "format":"prometheus", Prometheus text.
  * Matrices travel as {"rows","cols","ptr","idx","val"} arrays; float
  * values round-trip exactly through the canonical JSON serializer.
  */

@@ -1,7 +1,6 @@
 #include "serve/serve_core.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -26,43 +25,6 @@ kernelName(core::KernelJob::Kind kind)
       case core::KernelJob::Kind::Spgemm: return "spgemm";
     }
     return "?";
-}
-
-/** Nearest-rank percentile of an unsorted sample vector. */
-std::uint64_t
-percentile(std::vector<std::uint64_t> samples, double pct)
-{
-    if (samples.empty())
-        return 0;
-    std::sort(samples.begin(), samples.end());
-    const double n = static_cast<double>(samples.size());
-    std::size_t rank =
-        static_cast<std::size_t>(std::ceil(pct / 100.0 * n));
-    if (rank == 0)
-        rank = 1;
-    if (rank > samples.size())
-        rank = samples.size();
-    return samples[rank - 1];
-}
-
-json::Value
-latencySummary(const std::vector<std::uint64_t> &samples)
-{
-    json::Object o;
-    std::uint64_t sum = 0, max = 0;
-    for (std::uint64_t s : samples) {
-        sum += s;
-        max = std::max(max, s);
-    }
-    o["count"] = json::Value(std::uint64_t(samples.size()));
-    o["mean"] = json::Value(
-        samples.empty() ? 0.0
-                        : static_cast<double>(sum) / samples.size());
-    o["max"] = json::Value(max);
-    o["p50"] = json::Value(percentile(samples, 50.0));
-    o["p95"] = json::Value(percentile(samples, 95.0));
-    o["p99"] = json::Value(percentile(samples, 99.0));
-    return json::Value(std::move(o));
 }
 
 } // namespace
@@ -122,8 +84,6 @@ ServeCore::handle(const json::Value &request, std::uint64_t owner)
         return handleSubmit(request, owner);
     if (type == "status")
         return handleStatus(request);
-    if (type == "stats")
-        return statsJson();
     if (type == "metrics")
         return handleMetrics(request);
     if (type == "stats.stream")
@@ -152,7 +112,8 @@ ServeCore::handleSubmit(const json::Value &request, std::uint64_t owner)
         return errorResponse("badRequest", "missing kernel");
     const std::string &kernel = request.at("kernel").asString();
 
-    if (queuedCount() >= config_.queueDepth) {
+    if (jobsInState_[static_cast<std::size_t>(JobState::Queued)] >=
+        config_.queueDepth) {
         ++rejectedTotal_;
         ++tenants_[tenant].rejected;
         if (observer_)
@@ -185,7 +146,10 @@ ServeCore::handleSubmit(const json::Value &request, std::uint64_t owner)
             request.at("pus").asNumber() < 1)
             return errorResponse("badRequest",
                                  "pus must be a positive number");
-        ranks = static_cast<unsigned>(request.at("pus").asNumber());
+        // Clamp before the cast: a double past UINT_MAX would wrap.
+        ranks = static_cast<unsigned>(
+            std::min(request.at("pus").asNumber(),
+                     static_cast<double>(scheduler_.machineRanks())));
     }
     job.ranks = std::min(ranks, scheduler_.machineRanks());
     if (job.ranks == 0)
@@ -257,6 +221,8 @@ ServeCore::handleSubmit(const json::Value &request, std::uint64_t owner)
         observer_->jobSubmitted(id, job.tenant, kernelName(job.kind),
                                 jobRanks, cacheHit, virtualCycle_);
     order_.push_back(job.id);
+    ++jobsInState_[static_cast<std::size_t>(JobState::Queued)];
+    ++inFlight_[job.tenant];
     jobs_.emplace(job.id, std::move(job));
 
     json::Object o;
@@ -272,32 +238,27 @@ ServeCore::handleStatus(const json::Value &request) const
 {
     if (!request.has("id") || !request.at("id").isNumber())
         return errorResponse("badRequest", "missing job id");
-    return jobResponse(
-        static_cast<std::uint64_t>(request.at("id").asNumber()));
+    // Range-check before the cast: a negative or >= 2^64 double has no
+    // uint64 value.
+    const double id = request.at("id").asNumber();
+    if (!(id >= 0 && id < 18446744073709551616.0))
+        return errorResponse("badRequest", "job id out of range");
+    return jobResponse(static_cast<std::uint64_t>(id));
 }
 
 unsigned
 ServeCore::inFlightOf(const std::string &tenant) const
 {
-    unsigned n = 0;
-    for (std::uint64_t id : order_) {
-        const Job &job = jobs_.at(id);
-        if (job.tenant == tenant &&
-            (job.state == JobState::Queued ||
-             job.state == JobState::Running))
-            ++n;
-    }
-    return n;
+    const auto it = inFlight_.find(tenant);
+    return it == inFlight_.end() ? 0 : it->second;
 }
 
-std::size_t
-ServeCore::queuedCount() const
+void
+ServeCore::setState(Job &job, JobState state)
 {
-    std::size_t n = 0;
-    for (std::uint64_t id : order_)
-        if (jobs_.at(id).state == JobState::Queued)
-            ++n;
-    return n;
+    --jobsInState_[static_cast<std::size_t>(job.state)];
+    ++jobsInState_[static_cast<std::size_t>(state)];
+    job.state = state;
 }
 
 bool
@@ -434,7 +395,7 @@ ServeCore::runUntilIdle()
 void
 ServeCore::dispatch(Job &job)
 {
-    job.state = JobState::Running;
+    setState(job, JobState::Running);
     if (observer_)
         observer_->jobDispatched(job.id, job.submitCycle,
                                  job.startCycle);
@@ -483,10 +444,6 @@ ServeCore::complete(Job &job)
     ++t.completed;
     const std::uint64_t wait = job.startCycle - job.submitCycle;
     const std::uint64_t total = job.doneCycle - job.submitCycle;
-    t.queueWait.push_back(wait);
-    t.total.push_back(total);
-    t.queueWaitHist.record(wait);
-    t.totalHist.record(total);
     t.windowQueueWait.record(wait);
     t.windowTotal.record(total);
     finishJob(job, JobState::Done);
@@ -495,7 +452,9 @@ ServeCore::complete(Job &job)
 void
 ServeCore::finishJob(Job &job, JobState state)
 {
-    job.state = state;
+    setState(job, state);
+    if (--inFlight_[job.tenant] == 0)
+        inFlight_.erase(job.tenant);
     if (job.doneCycle == 0)
         job.doneCycle = virtualCycle_;
     if (state == JobState::Failed)
@@ -507,7 +466,14 @@ ServeCore::finishJob(Job &job, JobState state)
     if (observer_)
         observer_->jobFinished(job.id, jobStateName(state),
                                job.preemptions, job.doneCycle);
-    job.kernel.reset(); // release the simulated components immediately
+    // Release the simulated components, plan refs and input vector
+    // now (buildResult already ran), so evicted plans are freed and the
+    // residency-cache budget bounds plan memory.
+    job.kernel.reset();
+    job.transposePlan.reset();
+    job.spmvPlan.reset();
+    job.spgemmPlan.reset();
+    job.x = std::vector<Value>();
     scheduler_.finished(job.id);
     order_.erase(std::remove(order_.begin(), order_.end(), job.id),
                  order_.end());
@@ -605,73 +571,6 @@ ServeCore::jobResponse(std::uint64_t id) const
     return json::Value(std::move(o));
 }
 
-json::Value
-ServeCore::statsJson() const
-{
-    json::Object o;
-    o["type"] = json::Value("stats");
-    o["schema"] = json::Value(kSchema);
-    o["policy"] = json::Value(schedPolicyName(scheduler_.policy()));
-    o["machineRanks"] =
-        json::Value(std::uint64_t(scheduler_.machineRanks()));
-    o["virtualCycle"] = json::Value(virtualCycle_);
-    o["sliceCycles"] = json::Value(config_.sliceCycles);
-
-    std::uint64_t queued = 0, running = 0;
-    for (std::uint64_t id : order_) {
-        const Job &job = jobs_.at(id);
-        if (job.state == JobState::Queued)
-            ++queued;
-        else if (job.state == JobState::Running)
-            ++running;
-    }
-    std::uint64_t completed = 0, failed = 0, cancelled = 0;
-    for (const auto &[id, job] : jobs_) {
-        if (job.state == JobState::Done)
-            ++completed;
-        else if (job.state == JobState::Failed)
-            ++failed;
-        else if (job.state == JobState::Cancelled)
-            ++cancelled;
-    }
-    json::Object jobs;
-    jobs["queued"] = json::Value(queued);
-    jobs["running"] = json::Value(running);
-    jobs["completed"] = json::Value(completed);
-    jobs["failed"] = json::Value(failed);
-    jobs["cancelled"] = json::Value(cancelled);
-    jobs["rejected"] = json::Value(rejectedTotal_);
-    o["jobs"] = json::Value(std::move(jobs));
-
-    const CacheStats &c = cache_.stats();
-    json::Object cache;
-    cache["hits"] = json::Value(c.hits);
-    cache["misses"] = json::Value(c.misses);
-    cache["evictions"] = json::Value(c.evictions);
-    cache["entries"] = json::Value(c.entries);
-    cache["residentBytes"] = json::Value(c.residentBytes);
-    cache["budgetBytes"] = json::Value(cache_.budgetBytes());
-    cache["hitRatePct"] = json::Value(c.hitRatePct());
-    o["cache"] = json::Value(std::move(cache));
-
-    o["preemptions"] = json::Value(preemptionsTotal_);
-
-    json::Object tenants;
-    for (const auto &[name, t] : tenants_) {
-        json::Object to;
-        to["completed"] = json::Value(t.completed);
-        to["failed"] = json::Value(t.failed);
-        to["rejected"] = json::Value(t.rejected);
-        to["preemptions"] = json::Value(t.preemptions);
-        to["inFlight"] = json::Value(std::uint64_t(inFlightOf(name)));
-        to["queueWaitCycles"] = latencySummary(t.queueWait);
-        to["totalCycles"] = latencySummary(t.total);
-        tenants[name] = json::Value(std::move(to));
-    }
-    o["tenants"] = json::Value(std::move(tenants));
-    return json::Value(std::move(o));
-}
-
 obs::json::Value
 ServeCore::handleMetrics(const json::Value &request) const
 {
@@ -683,7 +582,7 @@ ServeCore::handleMetrics(const json::Value &request) const
         request.has("format") && request.at("format").isString() &&
         request.at("format").asString() == "prometheus";
     if (prometheus)
-        o["text"] = json::Value(prometheusText());
+        o["text"] = json::Value(obs::renderPrometheus(metricFamilies()));
     else
         o["families"] = obs::metricsToJson(metricFamilies());
     return json::Value(std::move(o));
@@ -734,12 +633,6 @@ ServeCore::jobTraceJson() const
     return os.str();
 }
 
-std::string
-ServeCore::prometheusText() const
-{
-    return obs::renderPrometheus(metricFamilies());
-}
-
 std::vector<obs::MetricFamily>
 ServeCore::metricFamilies() const
 {
@@ -768,33 +661,19 @@ ServeCore::metricFamilies() const
                            "Virtual PU-cycle clock of the daemon"),
                    static_cast<double>(virtualCycle_));
 
-    std::uint64_t queued = 0, running = 0;
-    for (std::uint64_t id : order_) {
-        const Job &job = jobs_.at(id);
-        if (job.state == JobState::Queued)
-            ++queued;
-        else if (job.state == JobState::Running)
-            ++running;
-    }
-    std::uint64_t completed = 0, failed = 0, cancelled = 0;
-    for (const auto &[id, job] : jobs_) {
-        (void)id;
-        if (job.state == JobState::Done)
-            ++completed;
-        else if (job.state == JobState::Failed)
-            ++failed;
-        else if (job.state == JobState::Cancelled)
-            ++cancelled;
-    }
+    const auto jobsIn = [&](JobState state) {
+        return static_cast<double>(
+            jobsInState_[static_cast<std::size_t>(state)]);
+    };
     {
         MetricFamily &family =
             counter("menda_serve_jobs_total",
                     "Jobs by terminal state (rejected = never admitted)");
-        obs::addSample(family, static_cast<double>(completed),
+        obs::addSample(family, jobsIn(JobState::Done),
                        {{"state", "completed"}});
-        obs::addSample(family, static_cast<double>(failed),
+        obs::addSample(family, jobsIn(JobState::Failed),
                        {{"state", "failed"}});
-        obs::addSample(family, static_cast<double>(cancelled),
+        obs::addSample(family, jobsIn(JobState::Cancelled),
                        {{"state", "cancelled"}});
         obs::addSample(family, static_cast<double>(rejectedTotal_),
                        {{"state", "rejected"}});
@@ -802,9 +681,9 @@ ServeCore::metricFamilies() const
     {
         MetricFamily &family = gauge("menda_serve_queue_depth",
                                      "Live jobs by state");
-        obs::addSample(family, static_cast<double>(queued),
+        obs::addSample(family, jobsIn(JobState::Queued),
                        {{"state", "queued"}});
-        obs::addSample(family, static_cast<double>(running),
+        obs::addSample(family, jobsIn(JobState::Running),
                        {{"state", "running"}});
     }
     obs::addSample(counter("menda_serve_preemptions_total",
@@ -937,72 +816,6 @@ ServeCore::metricFamilies() const
                        {{"event", "dropped"}});
     }
     return families;
-}
-
-obs::RunReport
-ServeCore::metricsReport() const
-{
-    obs::RunReport report("menda.serve.metrics");
-    report.setMeta("schema", kSchema);
-    report.setMeta("policy", schedPolicyName(scheduler_.policy()));
-    report.setMetric("machineRanks", scheduler_.machineRanks());
-    report.setMetric("virtualCycle",
-                     static_cast<double>(virtualCycle_));
-
-    std::uint64_t completed = 0, failed = 0, cancelled = 0;
-    for (const auto &[id, job] : jobs_) {
-        if (job.state == JobState::Done)
-            ++completed;
-        else if (job.state == JobState::Failed)
-            ++failed;
-        else if (job.state == JobState::Cancelled)
-            ++cancelled;
-    }
-    report.setMetric("jobsCompleted", static_cast<double>(completed));
-    report.setMetric("jobsFailed", static_cast<double>(failed));
-    report.setMetric("jobsCancelled", static_cast<double>(cancelled));
-    report.setMetric("jobsRejected",
-                     static_cast<double>(rejectedTotal_));
-    report.setMetric("preemptions",
-                     static_cast<double>(preemptionsTotal_));
-    if (virtualCycle_ > 0) {
-        double busy = 0.0;
-        for (Cycle cycles : rankBusy_)
-            busy += static_cast<double>(cycles);
-        report.setMetric("rankUtilization",
-                         busy / (static_cast<double>(virtualCycle_) *
-                                 static_cast<double>(rankBusy_.size())));
-    }
-
-    const CacheStats &c = cache_.stats();
-    report.setMetric("cacheHits", static_cast<double>(c.hits));
-    report.setMetric("cacheMisses", static_cast<double>(c.misses));
-    report.setMetric("cacheEvictions",
-                     static_cast<double>(c.evictions));
-    report.setMetric("cacheHitRatePct", c.hitRatePct());
-    report.setMetric("cacheResidentBytes",
-                     static_cast<double>(c.residentBytes));
-
-    for (const auto &[name, t] : tenants_) {
-        const std::string prefix = "tenant." + name + ".";
-        report.setMetric(prefix + "completed",
-                         static_cast<double>(t.completed));
-        report.setMetric(prefix + "queueWaitP95",
-                         static_cast<double>(
-                             percentile(t.queueWait, 95.0)));
-        report.setMetric(prefix + "queueWaitP99",
-                         static_cast<double>(
-                             percentile(t.queueWait, 99.0)));
-        report.setMetric(prefix + "totalP95",
-                         static_cast<double>(percentile(t.total, 95.0)));
-        report.setMetric(prefix + "totalP99",
-                         static_cast<double>(percentile(t.total, 99.0)));
-        report.setMetric(prefix + "preemptions",
-                         static_cast<double>(t.preemptions));
-        report.addHistogram(prefix + "queueWait", t.queueWaitHist);
-        report.addHistogram(prefix + "total", t.totalHist);
-    }
-    return report;
 }
 
 } // namespace menda::serve

@@ -24,6 +24,7 @@
 #ifndef MENDA_SERVE_SERVE_CORE_HH
 #define MENDA_SERVE_SERVE_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -33,7 +34,6 @@
 #include "common/stats.hh"
 #include "menda/job.hh"
 #include "obs/metrics.hh"
-#include "obs/report.hh"
 #include "serve/observer.hh"
 #include "serve/protocol.hh"
 #include "serve/residency_cache.hh"
@@ -130,21 +130,14 @@ class ServeCore
     /** The "jobStatus" response for @p id (results when terminal). */
     obs::json::Value jobResponse(std::uint64_t id) const;
 
-    /** The "stats" response body. */
-    obs::json::Value statsJson() const;
-
-    /** Metrics snapshot as a menda.runReport/1 (CI artifact). */
-    obs::RunReport metricsReport() const;
-
     /**
-     * Current metric families (rolling per-tenant percentiles, cache,
-     * rank utilization, preemptions) — the "metrics" verb body, also
-     * renderable as Prometheus text via obs::renderPrometheus().
+     * Current metric families (job counts, rolling per-tenant
+     * percentiles, cache, rank utilization, preemptions) — the daemon's
+     * only stats source. The "metrics" verb returns them as canonical
+     * JSON (obs::metricsToJson) or Prometheus text
+     * (obs::renderPrometheus). Costs O(tenants + ranks), not O(jobs).
      */
     std::vector<obs::MetricFamily> metricFamilies() const;
-
-    /** Prometheus text exposition of metricFamilies(). */
-    std::string prometheusText() const;
 
     /** Observability sinks; null/empty when config.observability off. */
     const ServeObserver *observer() const { return observer_.get(); }
@@ -198,12 +191,9 @@ class ServeCore
         std::uint64_t failed = 0;
         std::uint64_t rejected = 0;
         std::uint64_t preemptions = 0; ///< of finished jobs
-        std::vector<std::uint64_t> queueWait; ///< cycles, per job
-        std::vector<std::uint64_t> total;     ///< queue-to-completion
-        Histogram queueWaitHist;
-        Histogram totalHist;
         // Rolling SLO windows: current partial window + the last
-        // completed one; the metrics verb reports their merge.
+        // completed one; the metrics verb reports their merge. With
+        // windowCycles == 0 the current window covers the whole run.
         Histogram windowQueueWait, windowTotal;
         Histogram prevQueueWait, prevTotal;
     };
@@ -216,7 +206,8 @@ class ServeCore
         const obs::json::Value &request) const;
 
     unsigned inFlightOf(const std::string &tenant) const;
-    std::size_t queuedCount() const;
+    /** Move @p job to @p state, keeping jobsInState_ in step. */
+    void setState(Job &job, JobState state);
     void dispatch(Job &job);      ///< Queued -> Running (build kernel)
     void advance(Job &job);       ///< one slice of progress
     void complete(Job &job);      ///< Running -> Done (build result)
@@ -237,6 +228,10 @@ class ServeCore
     std::vector<std::uint64_t> order_;    ///< submission order (live)
     std::vector<std::uint64_t> finished_; ///< for drainFinished()
     std::map<std::string, TenantStats> tenants_;
+    /** Jobs per JobState (live states: current; terminal: lifetime). */
+    std::array<std::uint64_t, 5> jobsInState_{};
+    /** Queued + running jobs per tenant (tenants with none erased). */
+    std::map<std::string, unsigned> inFlight_;
     std::uint64_t rejectedTotal_ = 0;
     std::uint64_t preemptionsTotal_ = 0;
     std::uint64_t windowIndex_ = 0;

@@ -150,9 +150,10 @@ SocketServer::iterate(int timeout_ms)
     if (ready > 0) {
         if (fds[0].revents & POLLIN)
             acceptPending();
-        for (std::size_t i = 0; i < conns_.size(); ++i) {
+        for (std::size_t i = 0; i + 1 < fds.size(); ++i) {
             // fds[i + 1] pairs with conns_[i]; acceptPending() only
-            // appends, so the prefix correspondence holds.
+            // appends, so the prefix correspondence holds. Connections
+            // it just accepted have no pollfd yet: next round.
             Conn &conn = *conns_[i];
             if (fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR))
                 readConn(conn);
@@ -186,19 +187,17 @@ void
 SocketServer::readConn(Conn &conn)
 {
     char buf[16384];
+    bool gone = false;
     for (;;) {
         const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
         if (n > 0) {
             conn.reader.feed(buf, static_cast<std::size_t>(n));
             continue;
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            break;
-        // EOF or hard error: the peer is gone. Cancel its jobs.
-        core_.cancelOwner(conn.owner);
-        ::close(conn.fd);
-        conn.fd = -1;
-        return;
+        // EOF or hard error: the peer is gone once the frames it sent
+        // before leaving are handled.
+        gone = !(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+        break;
     }
     for (;;) {
         std::string payload, error;
@@ -226,8 +225,13 @@ SocketServer::readConn(Conn &conn)
         if (conn.fd < 0 || conn.closing)
             break;
     }
-    if (conn.fd >= 0)
+    if (gone) {
+        core_.cancelOwner(conn.owner); // a departed peer's jobs
+        ::close(conn.fd);
+        conn.fd = -1;
+    } else if (conn.fd >= 0) {
         flushConn(conn);
+    }
 }
 
 void

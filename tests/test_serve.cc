@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,6 +111,32 @@ submittedId(const json::Value &response)
     return static_cast<std::uint64_t>(response.at("id").asNumber());
 }
 
+/** The value of metric @p name's sample carrying @p labels; -1 when the
+ *  families have no such sample. */
+double
+metricValue(const std::vector<obs::MetricFamily> &families,
+            const std::string &name,
+            const std::map<std::string, std::string> &labels = {})
+{
+    for (const obs::MetricFamily &family : families)
+        if (family.name == name)
+            for (const obs::MetricSample &sample : family.samples)
+                if (sample.labels == labels)
+                    return sample.value;
+    return -1;
+}
+
+/** The "metrics" verb's families, as any client decodes them. */
+std::vector<obs::MetricFamily>
+metricsVerb(const json::Value &response)
+{
+    EXPECT_EQ(response.at("type").asString(), "metrics")
+        << response.serialize();
+    return obs::metricsFromJson(response.at("families"));
+}
+
+const json::Value kMetricsRequest = json::parse("{\"type\":\"metrics\"}");
+
 // --- framing -----------------------------------------------------------
 
 TEST(FrameReader, TwoFramesInOneFeed)
@@ -179,9 +206,12 @@ TEST(Admission, MalformedRequestsGetTypedErrors)
 
     EXPECT_EQ(errorCode(core.handle(json::parse("[1,2]"))), "badRequest");
     EXPECT_EQ(errorCode(core.handle(json::parse(
-                  "{\"schema\":\"other/9\",\"type\":\"stats\"}"))),
+                  "{\"schema\":\"other/9\",\"type\":\"metrics\"}"))),
               "badRequest");
     EXPECT_EQ(errorCode(core.handle(json::parse("{\"type\":\"nope\"}"))),
+              "badRequest");
+    // The metrics verb is the only stats path; "stats" is unknown.
+    EXPECT_EQ(errorCode(core.handle(json::parse("{\"type\":\"stats\"}"))),
               "badRequest");
     EXPECT_EQ(errorCode(core.handle(json::parse(
                   "{\"type\":\"submit\",\"kernel\":\"lu\"}"))),
@@ -212,9 +242,31 @@ TEST(Admission, QueueFullRejectsWithReason)
         core.handle(submitRequest("transpose", a, "t2"));
     EXPECT_EQ(errorCode(third), "queueFull");
 
-    const json::Value stats = core.handle(json::parse(
-        "{\"type\":\"stats\"}"));
-    EXPECT_EQ(stats.at("jobs").at("rejected").asNumber(), 1.0);
+    EXPECT_EQ(metricValue(metricsVerb(core.handle(kMetricsRequest)),
+                          "menda_serve_jobs_total",
+                          {{"state", "rejected"}}),
+              1.0);
+    core.runUntilIdle();
+}
+
+TEST(Admission, OutOfRangeNumbersNeverWrap)
+{
+    ServeCore core(smallConfig(4));
+    const sparse::CsrMatrix a = sparse::generateUniform(12, 12, 40, 3);
+
+    // 2^32 PUs clamp to the whole machine; a bare cast wraps to 0.
+    const json::Value r = core.handle(withField(
+        submitRequest("transpose", a), "pus", json::Value(4294967296.0)));
+    submittedId(r);
+    EXPECT_EQ(r.at("ranks").asNumber(), 4.0);
+
+    // Ids with no uint64 value get a typed error, never a wrapped id.
+    EXPECT_EQ(errorCode(core.handle(json::parse(
+                  "{\"type\":\"status\",\"id\":-1}"))),
+              "badRequest");
+    EXPECT_EQ(errorCode(core.handle(json::parse(
+                  "{\"type\":\"status\",\"id\":1e20}"))),
+              "badRequest");
     core.runUntilIdle();
 }
 
@@ -375,7 +427,7 @@ TEST(Scheduler, VirtualLatenciesAreDeterministic)
             core.handle(submitRequest(
                 i % 2 ? "spmv" : "transpose", a, i % 2 ? "t1" : "t0"));
         core.runUntilIdle();
-        return core.statsJson().serialize();
+        return obs::renderPrometheus(core.metricFamilies());
     };
     EXPECT_EQ(run(), run());
 }
@@ -388,7 +440,6 @@ struct ObsArtifacts
     std::string journal;
     std::string trace;
     std::string prometheus;
-    std::string stats;
 };
 
 /**
@@ -431,8 +482,7 @@ observedWorkload(serve::SchedPolicy policy, unsigned host_threads,
     ObsArtifacts artifacts;
     artifacts.journal = core.journalJsonl();
     artifacts.trace = core.jobTraceJson();
-    artifacts.prometheus = core.prometheusText();
-    artifacts.stats = core.statsJson().serialize();
+    artifacts.prometheus = obs::renderPrometheus(core.metricFamilies());
     return artifacts;
 }
 
@@ -460,11 +510,9 @@ TEST(Observability, ArtifactsAreByteIdenticalAcrossThreadsAndReruns)
         EXPECT_EQ(one.journal, rerun.journal);
         EXPECT_EQ(one.trace, rerun.trace);
         EXPECT_EQ(one.prometheus, rerun.prometheus);
-        EXPECT_EQ(one.stats, rerun.stats);
         EXPECT_EQ(one.journal, threaded.journal);
         EXPECT_EQ(one.trace, threaded.trace);
         EXPECT_EQ(one.prometheus, threaded.prometheus);
-        EXPECT_EQ(one.stats, threaded.stats);
     }
 }
 
@@ -474,7 +522,15 @@ TEST(Observability, DisablingItNeverChangesTheSchedule)
          {serve::SchedPolicy::Fair, serve::SchedPolicy::Fifo}) {
         const ObsArtifacts on = observedWorkload(policy, 1, true);
         const ObsArtifacts off = observedWorkload(policy, 1, false);
-        EXPECT_EQ(on.stats, off.stats);
+        // Observability only appends the journal family (rendered
+        // last); every other family is byte-identical.
+        const std::string journal =
+            "# HELP menda_serve_journal_events_total";
+        EXPECT_EQ(on.prometheus.substr(0, off.prometheus.size()),
+                  off.prometheus);
+        EXPECT_EQ(on.prometheus.substr(off.prometheus.size(),
+                                       journal.size()),
+                  journal);
         EXPECT_TRUE(off.journal.empty());
         EXPECT_TRUE(off.trace.empty());
     }
@@ -514,7 +570,8 @@ TEST(Observability, MetricsVerbExposesRollingPercentiles)
     EXPECT_NE(p.at("text").asString().find(
                   "menda_serve_queue_wait_cycles{"),
               std::string::npos);
-    EXPECT_EQ(p.at("text").asString(), core.prometheusText());
+    EXPECT_EQ(p.at("text").asString(),
+              obs::renderPrometheus(core.metricFamilies()));
 }
 
 TEST(Observability, StatsStreamDrainsIncrementally)
@@ -555,6 +612,69 @@ TEST(Observability, StatsStreamDrainsIncrementally)
     EXPECT_NE(jsonl.find("\"seq\":" + std::to_string(next)),
               std::string::npos);
     EXPECT_EQ(jsonl.find("\"seq\":0,"), std::string::npos);
+}
+
+TEST(Observability, JobCountersTrackEveryTransition)
+{
+    ServeConfig config = smallConfig(2);
+    config.queueDepth = 3;
+    config.tenantInFlight = 2;
+    config.sliceCycles = 100; // keep the jobs mid-flight across pumps
+    ServeCore core(config);
+    const sparse::CsrMatrix a = sparse::generateUniform(32, 32, 512, 9);
+
+    // Counts as the families report them; a tenant's in-flight gauge
+    // appears once the tenant has an outcome (-1 = no sample yet).
+    const auto expectCounts = [&](double completed, double cancelled,
+                                  double rejected, double queued,
+                                  double running, double t0, double t1) {
+        const std::vector<obs::MetricFamily> f = core.metricFamilies();
+        const auto jobs = [&](const char *state) {
+            return metricValue(f, "menda_serve_jobs_total",
+                               {{"state", state}});
+        };
+        EXPECT_EQ(jobs("completed"), completed);
+        EXPECT_EQ(jobs("failed"), 0.0);
+        EXPECT_EQ(jobs("cancelled"), cancelled);
+        EXPECT_EQ(jobs("rejected"), rejected);
+        EXPECT_EQ(metricValue(f, "menda_serve_queue_depth",
+                              {{"state", "queued"}}),
+                  queued);
+        EXPECT_EQ(metricValue(f, "menda_serve_queue_depth",
+                              {{"state", "running"}}),
+                  running);
+        EXPECT_EQ(metricValue(f, "menda_serve_tenant_inflight",
+                              {{"tenant", "t0"}}),
+                  t0);
+        EXPECT_EQ(metricValue(f, "menda_serve_tenant_inflight",
+                              {{"tenant", "t1"}}),
+                  t1);
+    };
+
+    submittedId(core.handle(submitRequest("transpose", a, "t0")));
+    submittedId(core.handle(submitRequest("transpose", a, "t0")));
+    expectCounts(0, 0, 0, 2, 0, -1, -1);
+
+    EXPECT_EQ(errorCode(core.handle(submitRequest("transpose", a, "t0"))),
+              "tenantBusy");
+    expectCounts(0, 0, 1, 2, 0, 2, -1);
+
+    const std::uint64_t owned = submittedId(
+        core.handle(submitRequest("transpose", a, "t1"), /*owner=*/5));
+    EXPECT_EQ(errorCode(core.handle(submitRequest("transpose", a, "t1"))),
+              "queueFull");
+    expectCounts(0, 0, 2, 3, 0, 2, 1);
+
+    core.pump(); // two ranks: two jobs start, one still waits
+    expectCounts(0, 0, 2, 1, 2, 2, 1);
+
+    const bool ownedRan =
+        core.jobResponse(owned).at("state").asString() == "running";
+    core.cancelOwner(5);
+    expectCounts(0, 1, 2, ownedRan ? 1 : 0, ownedRan ? 1 : 2, 2, 0);
+
+    core.runUntilIdle();
+    expectCounts(2, 1, 2, 0, 0, 0, 0);
 }
 
 // --- cancellation ------------------------------------------------------
@@ -650,9 +770,10 @@ TEST(Socket, WaitSubmitReturnsFinishedJob)
     EXPECT_TRUE(serve::cscFromJson(response.at("csc")) ==
                 sparse::transposeReference(a));
 
-    const json::Value stats =
-        client.call(json::parse("{\"type\":\"stats\"}"));
-    EXPECT_EQ(stats.at("jobs").at("completed").asNumber(), 1.0);
+    EXPECT_EQ(metricValue(metricsVerb(client.call(kMetricsRequest)),
+                          "menda_serve_jobs_total",
+                          {{"state", "completed"}}),
+              1.0);
 }
 
 TEST(Socket, TruncatedFrameThenDisconnectIsHarmless)
@@ -667,9 +788,8 @@ TEST(Socket, TruncatedFrameThenDisconnectIsHarmless)
     }
     // The server must still serve a well-behaved client.
     serve::Client client = fixture.connect();
-    const json::Value stats =
-        client.call(json::parse("{\"type\":\"stats\"}"));
-    EXPECT_EQ(stats.at("type").asString(), "stats");
+    EXPECT_EQ(client.call(kMetricsRequest).at("type").asString(),
+              "metrics");
 }
 
 TEST(Socket, OversizedFrameGetsTypedErrorThenClose)
@@ -690,10 +810,8 @@ TEST(Socket, OversizedFrameGetsTypedErrorThenClose)
     EXPECT_THROW(client.recv(), std::exception);
 
     serve::Client fresh = fixture.connect();
-    EXPECT_EQ(fresh.call(json::parse("{\"type\":\"stats\"}"))
-                  .at("type")
-                  .asString(),
-              "stats");
+    EXPECT_EQ(fresh.call(kMetricsRequest).at("type").asString(),
+              "metrics");
 }
 
 TEST(Socket, MalformedJsonKeepsConnectionUsable)
@@ -707,10 +825,8 @@ TEST(Socket, MalformedJsonKeepsConnectionUsable)
     EXPECT_EQ(code, "badJson");
 
     // Same connection, valid request: still served.
-    EXPECT_EQ(client.call(json::parse("{\"type\":\"stats\"}"))
-                  .at("type")
-                  .asString(),
-              "stats");
+    EXPECT_EQ(client.call(kMetricsRequest).at("type").asString(),
+              "metrics");
 }
 
 TEST(Socket, MidJobDisconnectCancelsJob)
@@ -728,11 +844,10 @@ TEST(Socket, MidJobDisconnectCancelsJob)
 
     serve::Client observer = fixture.connect();
     double cancelled = 0;
-    for (int attempt = 0; attempt < 200 && cancelled < 1; ++attempt) {
-        const json::Value stats =
-            observer.call(json::parse("{\"type\":\"stats\"}"));
-        cancelled = stats.at("jobs").at("cancelled").asNumber();
-    }
+    for (int attempt = 0; attempt < 200 && cancelled < 1; ++attempt)
+        cancelled = metricValue(
+            metricsVerb(observer.call(kMetricsRequest)),
+            "menda_serve_jobs_total", {{"state", "cancelled"}});
     EXPECT_EQ(cancelled, 1.0);
 }
 

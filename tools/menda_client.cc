@@ -12,10 +12,10 @@
  *             instead of waiting), --verify (diff the output against
  *             the golden CPU reference).
  *   status    --id=N: query one job.
- *   stats     Print the daemon's metric families. --format=prometheus
- *             (default) renders Prometheus text exposition via the
- *             shared obs formatter; --format=json prints the canonical
- *             families JSON; --raw prints the legacy stats verb body.
+ *   stats     Print the daemon's metric families (the metrics verb).
+ *             --format=prometheus (default) renders Prometheus text
+ *             exposition via the shared obs formatter; --format=json
+ *             prints the canonical families JSON.
  *   shutdown  Ask the daemon to finish in-flight work and exit.
  *   smoke     Closed-loop multi-tenant exercise for CI: ~--jobs mixed
  *             kernels over --tenants tenants with hot matrix reuse, a
@@ -318,26 +318,36 @@ runSmoke(serve::Client &client, const Options &opts)
     while (!inflight.empty())
         drainOne(true);
 
-    json::Object sq;
-    sq["type"] = json::Value("stats");
-    const json::Value stats = client.call(json::Value(std::move(sq)));
-    const json::Value &cache = stats.at("cache");
+    json::Object mq;
+    mq["type"] = json::Value("metrics");
+    const std::vector<obs::MetricFamily> families = obs::metricsFromJson(
+        client.call(json::Value(std::move(mq))).at("families"));
+    // One sample of the scraped families, by name and one label.
+    const auto sample = [&](const std::string &name,
+                            const std::string &label = "",
+                            const std::string &value = "") {
+        for (const obs::MetricFamily &family : families)
+            for (const obs::MetricSample &s : family.samples)
+                if (family.name == name &&
+                    (label.empty() || s.labels.at(label) == value))
+                    return s.value;
+        throw std::runtime_error("daemon exposes no " + name);
+    };
+    const double evictions =
+        sample("menda_serve_cache_events_total", "event", "eviction");
     std::printf("smoke: %u jobs completed, %u rejections observed, "
-                "cache hit rate %.1f%% (%llu evictions)\n",
+                "cache hit rate %.1f%% (%.0f evictions)\n",
                 submitted, rejections,
-                cache.at("hitRatePct").asNumber(),
-                static_cast<unsigned long long>(
-                    cache.at("evictions").asNumber()));
+                sample("menda_serve_cache_hit_rate_pct"), evictions);
 
     bool ok = true;
     if (opts.has("expect-rejection") &&
         (rejections == 0 ||
-         stats.at("jobs").at("rejected").asNumber() < 1)) {
+         sample("menda_serve_jobs_total", "state", "rejected") < 1)) {
         std::fprintf(stderr, "smoke: expected an admission rejection\n");
         ok = false;
     }
-    if (opts.has("expect-eviction") &&
-        cache.at("evictions").asNumber() < 1) {
+    if (opts.has("expect-eviction") && evictions < 1) {
         std::fprintf(stderr, "smoke: expected a cache eviction\n");
         ok = false;
     }
@@ -412,19 +422,9 @@ main(int argc, char **argv)
             return 0;
         }
         if (command == "stats") {
-            // Raw job-table JSON is still available via --raw; the
-            // default path goes through the shared metric formatters so
-            // the CLI, menda_top, and a Prometheus scraper all render
-            // the exact same families.
-            if (opts.has("raw")) {
-                json::Object q;
-                q["type"] = json::Value("stats");
-                std::printf("%s\n",
-                            client.call(json::Value(std::move(q)))
-                                .serialize()
-                                .c_str());
-                return 0;
-            }
+            // Through the shared metric formatters, so the CLI,
+            // menda_top, and a Prometheus scraper all render the exact
+            // same families.
             json::Object q;
             q["type"] = json::Value("metrics");
             const json::Value r = client.call(json::Value(std::move(q)));

@@ -20,7 +20,8 @@
  *   --sim-mode=detailed    default fidelity ("simMode" overrides)
  *   --threads=1            host threads per job's simulation
  *   --window-cycles=1000000  virtual cycles per rolling SLO window
- *   --metrics=PATH         periodic metrics snapshot (menda.runReport/1)
+ *   --metrics=PATH         periodic metrics snapshot (the metric
+ *                          families JSON the metrics verb returns)
  *   --metrics-every=64     snapshot every N server iterations
  *   --journal=PATH         write the event journal (JSONL) at shutdown
  *   --trace-jobs=PATH      write the job-span Chrome trace at shutdown
@@ -36,9 +37,11 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/config.hh"
+#include "obs/metrics.hh"
 #include "serve/socket_server.hh"
 
 int
@@ -100,15 +103,23 @@ main(int argc, char **argv)
         const std::string metrics_path = opts.get("metrics", "");
         const std::uint64_t metrics_every = static_cast<std::uint64_t>(
             opts.getInt("metrics-every", 64));
+        const auto writeMetrics = [&] {
+            std::ofstream os(metrics_path);
+            os << obs::metricsToJson(core.metricFamilies()).serialize()
+               << '\n';
+            if (!os)
+                throw std::runtime_error("cannot write '" +
+                                         metrics_path + "'");
+        };
         std::uint64_t iteration = 0;
         while (!server.shouldStop()) {
             server.iterate(core.idle() ? 50 : 0);
             if (!metrics_path.empty() &&
                 ++iteration % metrics_every == 0)
-                core.metricsReport().write(metrics_path);
+                writeMetrics();
         }
         if (!metrics_path.empty())
-            core.metricsReport().write(metrics_path);
+            writeMetrics();
         const std::string journal_path = opts.get("journal", "");
         if (!journal_path.empty()) {
             std::ofstream os(journal_path);

@@ -5,7 +5,7 @@
  *
  *   menda_top --connect=unix:PATH|tcp:HOST:PORT [options]
  *
- * Polls the daemon's `stats`, `metrics`, and `stats.stream` verbs and
+ * Polls the daemon's `metrics` and `stats.stream` verbs and
  * renders a terminal dashboard: virtual clock, job counts, cache hit
  * rate, per-rank utilization bars, a per-tenant table with rolling
  * queue-wait / completion-latency percentiles (p50/p95/p99), and the
