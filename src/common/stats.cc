@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/log.hh"
-
 namespace menda
 {
 
@@ -77,131 +75,6 @@ Histogram::usedBuckets() const
     while (used > 0 && buckets_[used - 1] == 0)
         --used;
     return used;
-}
-
-void
-StatGroup::checkFresh(const std::string &stat_name) const
-{
-    // Silent shadowing of a same-named stat would make collect() report
-    // only one of them — a latent reporting bug, so registration is the
-    // right place to fail loudly.
-    for (const auto &[existing, ptr] : counters_) {
-        (void)ptr;
-        menda_assert(existing != stat_name, "duplicate stat registration '",
-                     name_, ".", stat_name, "'");
-    }
-    for (const auto &[existing, ptr] : atomics_) {
-        (void)ptr;
-        menda_assert(existing != stat_name, "duplicate stat registration '",
-                     name_, ".", stat_name, "'");
-    }
-    for (const auto &[existing, ptr] : scalars_) {
-        (void)ptr;
-        menda_assert(existing != stat_name, "duplicate stat registration '",
-                     name_, ".", stat_name, "'");
-    }
-    for (const auto &[existing, ptr] : histograms_) {
-        (void)ptr;
-        menda_assert(existing != stat_name, "duplicate stat registration '",
-                     name_, ".", stat_name, "'");
-    }
-    for (const auto &[existing, ptr] : samplers_) {
-        (void)ptr;
-        menda_assert(existing != stat_name, "duplicate stat registration '",
-                     name_, ".", stat_name, "'");
-    }
-}
-
-void
-StatGroup::add(const std::string &stat_name, const Counter &counter)
-{
-    checkFresh(stat_name);
-    counters_.emplace_back(stat_name, &counter);
-}
-
-void
-StatGroup::add(const std::string &stat_name, const AtomicCounter &counter)
-{
-    checkFresh(stat_name);
-    atomics_.emplace_back(stat_name, &counter);
-}
-
-void
-StatGroup::add(const std::string &stat_name, double *value)
-{
-    checkFresh(stat_name);
-    scalars_.emplace_back(stat_name, value);
-}
-
-void
-StatGroup::add(const std::string &stat_name, const Histogram &histogram)
-{
-    checkFresh(stat_name);
-    histograms_.emplace_back(stat_name, &histogram);
-}
-
-void
-StatGroup::add(const std::string &stat_name, const IntervalSampler &sampler)
-{
-    checkFresh(stat_name);
-    samplers_.emplace_back(stat_name, &sampler);
-}
-
-void
-StatGroup::addChild(const StatGroup &child)
-{
-    children_.push_back(&child);
-}
-
-std::map<std::string, double>
-StatGroup::collect() const
-{
-    std::map<std::string, double> out;
-    for (const auto &[stat_name, counter] : counters_)
-        out[name_ + "." + stat_name] =
-            static_cast<double>(counter->value());
-    for (const auto &[stat_name, counter] : atomics_)
-        out[name_ + "." + stat_name] =
-            static_cast<double>(counter->value());
-    for (const auto &[stat_name, value] : scalars_)
-        out[name_ + "." + stat_name] = *value;
-    for (const auto &[stat_name, hist] : histograms_) {
-        const std::string base = name_ + "." + stat_name;
-        out[base + ".count"] = static_cast<double>(hist->count());
-        out[base + ".mean"] = hist->mean();
-        out[base + ".max"] = static_cast<double>(hist->max());
-    }
-    for (const auto &[stat_name, sampler] : samplers_) {
-        const std::string base = name_ + "." + stat_name;
-        out[base + ".samples"] =
-            static_cast<double>(sampler->values().size());
-        out[base + ".last"] = static_cast<double>(sampler->lastValue());
-    }
-    for (const StatGroup *child : children_)
-        for (const auto &[child_name, value] : child->collect())
-            out[name_ + "." + child_name] = value;
-    return out;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &[stat_name, value] : collect())
-        os << stat_name << " " << value << "\n";
-}
-
-void
-StatGroup::dumpJson(std::ostream &os) const
-{
-    os << "{";
-    bool first = true;
-    for (const auto &[stat_name, value] : collect()) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\"" << stat_name << "\":" << value;
-    }
-    os << "}";
 }
 
 } // namespace menda

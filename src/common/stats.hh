@@ -1,17 +1,18 @@
 /**
  * @file
- * Lightweight statistics registry.
+ * Statistics primitives: counters, histograms and interval samplers.
  *
- * Simulator components own Counter/Scalar statistics and register them in a
- * StatGroup so harnesses can dump name → value tables without knowing the
- * component internals.
+ * Simulator components own these and expose their values through plain
+ * accessors; KernelJob::collect reads them into a RunResult, and
+ * core::makeRunReport turns that into every report.
  *
- * Threading contract: Counter and StatGroup are deliberately unsynchronized
- * — every counter is owned by exactly one simulation shard and is only read
- * from other threads after the shard's host thread has been joined (the
- * join is the publication point; see sim/parallel.hh). Statistics that are
- * genuinely updated from several live threads at once (e.g. thread-pool
- * bookkeeping) use AtomicCounter instead.
+ * Threading contract: Counter, Histogram and IntervalSampler are
+ * deliberately unsynchronized — every instance is owned by exactly one
+ * simulation shard and is only read from other threads after the shard's
+ * host thread has been joined (the join is the publication point; see
+ * sim/parallel.hh). Statistics that are genuinely updated from several
+ * live threads at once (e.g. thread-pool bookkeeping) use AtomicCounter
+ * instead.
  */
 
 #ifndef MENDA_COMMON_STATS_HH
@@ -20,9 +21,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace menda
@@ -223,71 +221,6 @@ class IntervalSampler
     std::uint64_t nextSampleAt_ = 0;
     std::vector<std::uint64_t> samples_;
     std::vector<std::uint64_t> sampleCycles_;
-};
-
-/**
- * A flat registry of statistics belonging to one component instance.
- * Children may be attached to build hierarchical names ("pu0.tree.pops").
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Register a counter under @p stat_name. The counter must outlive us. */
-    void add(const std::string &stat_name, const Counter &counter);
-
-    /** Register a thread-safe counter under @p stat_name. */
-    void add(const std::string &stat_name, const AtomicCounter &counter);
-
-    /** Register a derived (computed on demand) floating point stat. */
-    void add(const std::string &stat_name, double *value);
-
-    /** Register a histogram; collect() flattens its summary stats. */
-    void add(const std::string &stat_name, const Histogram &histogram);
-
-    /** Register a sampler; collect() flattens its summary stats. */
-    void add(const std::string &stat_name, const IntervalSampler &sampler);
-
-    /** Attach a child group; its stats are prefixed with its name. */
-    void addChild(const StatGroup &child);
-
-    const std::string &name() const { return name_; }
-
-    /** Collect all stats (recursively) as fully-qualified name → value. */
-    std::map<std::string, double> collect() const;
-
-    /** Registered histograms of this group (no children), in add order. */
-    const std::vector<std::pair<std::string, const Histogram *>> &
-    histograms() const
-    {
-        return histograms_;
-    }
-
-    /** Registered samplers of this group (no children), in add order. */
-    const std::vector<std::pair<std::string, const IntervalSampler *>> &
-    samplers() const
-    {
-        return samplers_;
-    }
-
-    /** Pretty-print all stats to @p os, one per line. */
-    void dump(std::ostream &os) const;
-
-    /** Emit all stats as a flat JSON object. */
-    void dumpJson(std::ostream &os) const;
-
-  private:
-    /** menda_assert that @p stat_name is not yet registered here. */
-    void checkFresh(const std::string &stat_name) const;
-
-    std::string name_;
-    std::vector<std::pair<std::string, const Counter *>> counters_;
-    std::vector<std::pair<std::string, const AtomicCounter *>> atomics_;
-    std::vector<std::pair<std::string, const double *>> scalars_;
-    std::vector<std::pair<std::string, const Histogram *>> histograms_;
-    std::vector<std::pair<std::string, const IntervalSampler *>> samplers_;
-    std::vector<const StatGroup *> children_;
 };
 
 } // namespace menda

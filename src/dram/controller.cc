@@ -41,8 +41,7 @@ MemoryController::MemoryController(std::string name,
       nextReadCmdGroup_(config.ranks * config.bankGroups, 0),
       nextWriteCmdGroup_(config.ranks * config.bankGroups, 0),
       rankActivates_(config.ranks),
-      rankBursts_(config.ranks),
-      stats_(name_)
+      rankBursts_(config.ranks)
 {
     for (auto &rank : ranks_) {
         rank.nextActGroup.assign(config.bankGroups, 0);
@@ -68,30 +67,7 @@ MemoryController::MemoryController(std::string name,
                             mem::RequestQueue::npos);
     scratchBanks_.reserve(config.totalBanks());
     scratchRekeys_.reserve(config.totalBanks());
-    stats_.add("reads", reads_);
-    stats_.add("writes", writes_);
-    stats_.add("rowHits", rowHits_);
-    stats_.add("rowMisses", rowMisses_);
-    stats_.add("rowConflicts", rowConflicts_);
-    stats_.add("activates", activates_);
-    stats_.add("precharges", precharges_);
-    stats_.add("refreshes", refreshes_);
-    stats_.add("busBusyCycles", busBusy_);
-    stats_.add("readQueueFull", readQueueFullEvents_);
-    stats_.add("writeQueueFull", writeQueueFullEvents_);
-    for (unsigned r = 0; r < config_.ranks; ++r) {
-        stats_.add("rank" + std::to_string(r) + ".activates",
-                   rankActivates_[r]);
-        stats_.add("rank" + std::to_string(r) + ".bursts",
-                   rankBursts_[r]);
-    }
-    stats_.add("readLatency", readLatency_);
     readDepth_.configure(config_.samplePeriod);
-    writeDepth_.configure(config_.samplePeriod);
-    stats_.add("readQueueDepth", readDepth_);
-    stats_.add("writeQueueDepth", writeDepth_);
-    readQueue_.registerStats(stats_, "readQueue");
-    writeQueue_.registerStats(stats_, "writeQueue");
 }
 
 void
@@ -128,11 +104,8 @@ MemoryController::enqueue(const mem::MemRequest &req)
     mem::RequestQueue &queue = aligned.isWrite ? writeQueue_ : readQueue_;
     std::uint32_t slot = mem::RequestQueue::npos;
     const mem::RequestQueue::Insert outcome = queue.insert(aligned, slot);
-    if (outcome == mem::RequestQueue::Insert::Rejected) {
-        ++(aligned.isWrite ? writeQueueFullEvents_
-                           : readQueueFullEvents_);
+    if (outcome == mem::RequestQueue::Insert::Rejected)
         return false;
-    }
     if (outcome == mem::RequestQueue::Insert::Fresh) {
         // A fresh slot (not a coalesced merge): track open-row hits.
         const unsigned fb = aligned.coord.flatBank;
@@ -229,7 +202,6 @@ MemoryController::sampleDepths()
 {
     const std::size_t before = readDepth_.values().size();
     readDepth_.sample(now_, readQueue_.size());
-    writeDepth_.sample(now_, writeQueue_.size());
     if (trace_ && readDepth_.values().size() != before) {
         trace_->counter(traceReadDepth_, now_, readQueue_.size());
         trace_->counter(traceWriteDepth_, now_, writeQueue_.size());
@@ -773,7 +745,6 @@ MemoryController::issuePrecharge(const DramCoord &coord)
         rekeyBank(false, fb, 0);
         rekeyBank(true, fb, 0);
     }
-    ++precharges_;
     commandIssued_ = true;
     if (trace_)
         trace_->instant(traceBankTracks_[fb], namePre_, now_);

@@ -165,13 +165,6 @@ class MemoryController : public Ticked
 
     std::uint64_t readsServed() const { return reads_.value(); }
     std::uint64_t writesServed() const { return writes_.value(); }
-    /** Bursts that required no activate of their own. */
-    std::uint64_t
-    rowHits() const
-    {
-        const std::uint64_t bursts = readsServed() + writesServed();
-        return bursts > activates() ? bursts - activates() : 0;
-    }
     std::uint64_t rowMisses() const { return rowMisses_.value(); }
     std::uint64_t rowConflicts() const { return rowConflicts_.value(); }
     std::uint64_t activates() const { return activates_.value(); }
@@ -194,10 +187,6 @@ class MemoryController : public Ticked
 
     /** Periodic RD/WR queue-depth samples (DramConfig::samplePeriod). */
     const IntervalSampler &readDepthSamples() const { return readDepth_; }
-    const IntervalSampler &writeDepthSamples() const
-    {
-        return writeDepth_;
-    }
 
     /** Bytes moved over the data bus so far. */
     std::uint64_t bytesTransferred() const
@@ -211,8 +200,6 @@ class MemoryController : public Ticked
     /** Read queue (exposed for coalescing statistics). */
     const mem::RequestQueue &readQueue() const { return readQueue_; }
     const mem::RequestQueue &writeQueue() const { return writeQueue_; }
-
-    const StatGroup &stats() const { return stats_; }
 
   private:
     struct Bank
@@ -369,12 +356,11 @@ class MemoryController : public Ticked
     /** In-flight reads ordered by completion cycle. */
     std::deque<std::pair<Cycle, mem::MemRequest>> pendingResponses_;
 
-    Counter reads_, writes_, rowHits_, rowMisses_, rowConflicts_;
-    Counter activates_, precharges_, refreshes_, busBusy_;
-    Counter readQueueFullEvents_, writeQueueFullEvents_;
+    Counter reads_, writes_, rowMisses_, rowConflicts_;
+    Counter activates_, refreshes_, busBusy_;
     std::vector<Counter> rankActivates_, rankBursts_;
     Histogram readLatency_;
-    IntervalSampler readDepth_, writeDepth_;
+    IntervalSampler readDepth_;
 
     // Event tracing (null when untraced; single-writer like the stats).
     obs::TraceShard *trace_ = nullptr;
@@ -384,8 +370,6 @@ class MemoryController : public Ticked
     std::uint32_t nameWrite_ = 0, nameRef_ = 0;
 
     void sampleDepths();
-
-    StatGroup stats_;
 };
 
 } // namespace menda::dram

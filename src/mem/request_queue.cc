@@ -58,7 +58,6 @@ RequestQueue::insert(const MemRequest &req, std::uint32_t &slot_out)
     ++size_;
     if (coalesce_ && !req.isWrite)
         readSlotByAddr_.emplace(req.addr, slot);
-    ++enqueued_;
     slot_out = slot;
 #ifdef MENDA_CHECKS
     menda_assert(!live_[slot], "free list handed out a live slot");

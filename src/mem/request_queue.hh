@@ -113,16 +113,8 @@ class RequestQueue
     /** Remove entry @p i once its last command has been issued. */
     MemRequest remove(std::size_t i) { return removeSlot(slotOf(i)); }
 
-    /** Statistics. */
-    const Counter &enqueued() const { return enqueued_; }
+    /** Loads merged into an already-occupied slot. */
     const Counter &coalescedHits() const { return coalescedHits_; }
-
-    void
-    registerStats(StatGroup &group, const std::string &prefix) const
-    {
-        group.add(prefix + ".enqueued", enqueued_);
-        group.add(prefix + ".coalesced", coalescedHits_);
-    }
 
   private:
     struct Slot
@@ -150,7 +142,6 @@ class RequestQueue
      */
     std::unordered_map<Addr, std::uint32_t> readSlotByAddr_;
 
-    Counter enqueued_;
     Counter coalescedHits_;
 
 #ifdef MENDA_CHECKS

@@ -332,31 +332,18 @@ KernelJob::step(Cycle max_pu_cycles)
 void
 KernelJob::runToCompletion()
 {
+    ParallelRunner pool(config_.hostThreads);
     if (config_.simMode != SimMode::Detailed) {
-        const auto run_one = [&](std::size_t i) { runFastRank(i); };
-        if (config_.hostThreads == 1) {
-            while (nextFastRank_ < pus_.size())
-                runFastRank(nextFastRank_++);
-        } else {
-            // Resume-safe: only the ranks not yet executed go to the
-            // pool (step() may have run a prefix already).
-            const std::size_t first = nextFastRank_;
-            ParallelRunner pool(config_.hostThreads);
-            pool.run(pus_.size() - first,
-                     [&](std::size_t i) { run_one(first + i); });
-            nextFastRank_ = pus_.size();
-        }
+        // Resume-safe: only the ranks not yet executed go to the pool
+        // (step() may have run a prefix already).
+        const std::size_t first = nextFastRank_;
+        pool.run(pus_.size() - first,
+                 [&](std::size_t i) { runFastRank(first + i); });
+        nextFastRank_ = pus_.size();
         return;
     }
-
-    if (config_.hostThreads == 1) {
-        for (std::size_t i = 0; i < shards_.size(); ++i)
-            runShardToCompletion(i);
-    } else {
-        ParallelRunner pool(config_.hostThreads);
-        pool.run(shards_.size(),
-                 [&](std::size_t i) { runShardToCompletion(i); });
-    }
+    pool.run(shards_.size(),
+             [&](std::size_t i) { runShardToCompletion(i); });
 }
 
 Cycle

@@ -185,7 +185,6 @@ MergeTree::evaluate(unsigned pe)
         peHasLast_[pe] = false;
 #endif
     out.push(packet);
-    ++peMoves_;
     return true;
 }
 
@@ -203,8 +202,6 @@ MergeTree::tick()
 {
     freedSlots_.clear();
     occupancyCycles_ += buffered_;
-    if (rootOut_.empty())
-        ++rootIdle_;
     ++epoch_;
     current_.swap(next_);
     next_.clear();

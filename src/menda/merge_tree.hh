@@ -78,9 +78,6 @@ class MergeTree
     /** Root-side end-of-line tokens emitted (== rounds completed). */
     std::uint64_t roundsCompleted() const { return roundsDone_.value(); }
 
-    /** Cycles on which the root FIFO had no packet ready. */
-    std::uint64_t rootIdleCycles() const { return rootIdle_.value(); }
-
     /**
      * Sum over ticks of the packets buffered anywhere in the tree
      * (PE FIFOs + root FIFO). Divided by the PU cycle count this gives
@@ -94,16 +91,6 @@ class MergeTree
 
     /** Packets currently buffered anywhere in the tree. */
     std::uint64_t occupancy() const { return buffered_; }
-
-    void
-    registerStats(StatGroup &group) const
-    {
-        group.add("tree.rootPops", rootPops_);
-        group.add("tree.rounds", roundsDone_);
-        group.add("tree.rootIdleCycles", rootIdle_);
-        group.add("tree.peMoves", peMoves_);
-        group.add("tree.occupancyPacketCycles", occupancyCycles_);
-    }
 
   private:
     struct Pe
@@ -140,7 +127,7 @@ class MergeTree
     std::vector<std::uint64_t> scheduledEpoch_;
     std::uint64_t epoch_ = 1;
 
-    Counter rootPops_, roundsDone_, rootIdle_, peMoves_, occupancyCycles_;
+    Counter rootPops_, roundsDone_, occupancyCycles_;
     std::uint64_t buffered_ = 0; ///< packets currently in any FIFO
 
 #ifdef MENDA_CHECKS

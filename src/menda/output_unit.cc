@@ -114,7 +114,6 @@ OutputUnit::accept(const Packet &packet)
         merged_.row.push_back(packet.row);
         merged_.col.push_back(packet.col);
         merged_.val.push_back(packet.val);
-        ++elementsOut_;
         switch (mode_) {
           case OutputMode::CooIntermediate:
             append(rowSink_, 1);

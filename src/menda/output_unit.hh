@@ -113,19 +113,10 @@ class OutputUnit
     /** Functional merged data of this iteration. */
     const MergedOutput &merged() const { return merged_; }
 
-    std::uint64_t elementsOut() const { return elementsOut_.value(); }
     std::uint64_t storesQueued() const { return stores_.value(); }
 
     /** Cycles the root had data while this unit was back-pressured. */
     std::uint64_t stallCycles() const { return stalls_.value(); }
-
-    void
-    registerStats(StatGroup &group) const
-    {
-        group.add("output.elements", elementsOut_);
-        group.add("output.stores", stores_);
-        group.add("output.stallCycles", stalls_);
-    }
 
     /** Count a cycle the root had data but the unit was back-pressured. */
     void noteStall() { ++stalls_; }
@@ -168,7 +159,7 @@ class OutputUnit
     std::vector<std::pair<std::uint64_t, std::uint64_t>> roundBounds_;
     MergedOutput merged_;
 
-    Counter elementsOut_, stores_, stalls_;
+    Counter stores_, stalls_;
 };
 
 } // namespace menda::core

@@ -46,18 +46,8 @@ Pu::commonInit()
     mem_->setResponseCallback([this](const mem::MemRequest &req) {
         responses_.push_back(req);
     });
-    stats_.add("loads", loads_);
-    stats_.add("stores", stores_);
-    stats_.add("responses", responsesHandled_);
-    stats_.add("assignments", assignments_);
-    stats_.add("retries", retries_);
-    stats_.add("leafPushStalls", pushStalls_);
     stallStart_.assign(config_.leaves, 0);
-    stats_.add("leafStallRun", leafStallRuns_);
     occupancySamples_.configure(config_.samplePeriod);
-    stats_.add("treeOccupancy", occupancySamples_);
-    tree_.registerStats(stats_);
-    output_.registerStats(stats_);
 }
 
 void
@@ -96,8 +86,7 @@ Pu::Pu(std::string name, const PuConfig &config,
       map_(0, slice->rows, slice->cols, slice->nnz()),
       mem_(mem),
       tree_(config, MergeKey::Column),
-      output_(config_, &map_),
-      stats_(name_)
+      output_(config_, &map_)
 {
     for (Index r = 0; r < csr_->rows; ++r)
         if (csr_->ptr[r + 1] > csr_->ptr[r])
@@ -122,8 +111,7 @@ Pu::Pu(std::string name, const PuConfig &config,
            std::max<std::uint64_t>(slice_csc->nnz(), slice_csc->rows)),
       mem_(mem),
       tree_(config, MergeKey::Row),
-      output_(config_, &map_),
-      stats_(name_)
+      output_(config_, &map_)
 {
     menda_assert(x->size() == csc_->cols, "SpMV vector length mismatch");
     for (Index c = 0; c < csc_->cols; ++c)
@@ -152,8 +140,7 @@ Pu::Pu(std::string name, const PuConfig &config,
            b->rows, b->nnz()),
       mem_(mem),
       tree_(config, MergeKey::RowCol),
-      output_(config_, &map_),
-      stats_(name_)
+      output_(config_, &map_)
 {
     menda_assert(a_slice->cols == b->rows,
                  "SpGEMM inner dimensions must agree");
@@ -588,14 +575,12 @@ Pu::doStorePort()
     req.stream = mem::Stream::Output;
     if (mem_->enqueue(req)) {
         output_.storeIssued();
-        ++stores_;
     }
 }
 
 void
 Pu::handleResponse(const mem::MemRequest &req)
 {
-    ++responsesHandled_;
     if (req.stream == mem::Stream::RowPointer) {
         markControllerArrival(req.addr);
         ptrInFlight_.erase(req.addr);
@@ -742,7 +727,6 @@ Pu::doAssignments()
         }
         buffers_[b]->assign(desc);
         ++bufferNextRound_[b];
-        ++assignments_;
         ++made;
         assignQueue_.pop_front();
         inAssignQueue_[b] = false;

@@ -191,9 +191,7 @@ class Pu : public Ticked
     const MergeTree &tree() const { return tree_; }
     dram::MemoryController &mem() { return *mem_; }
     const PuMemoryMap &memoryMap() const { return map_; }
-    const StatGroup &stats() const { return stats_; }
     std::uint64_t loadsIssued() const { return loads_.value(); }
-    std::uint64_t storesIssued() const { return stores_.value(); }
     std::uint64_t retriesIssued() const { return retries_.value(); }
 
     /** Cycles the root had output but the output unit back-pressured. */
@@ -421,7 +419,7 @@ class Pu : public Ticked
     std::uint64_t iterStartCoalesced_ = 0;
     std::vector<IterationStats> iterStats_;
 
-    Counter loads_, stores_, responsesHandled_, assignments_, retries_;
+    Counter loads_, retries_;
     Counter pushStalls_;
     Histogram leafStallRuns_;
     std::vector<Cycle> stallStart_; ///< per slot; 0 = not stalled
@@ -436,8 +434,6 @@ class Pu : public Ticked
     Cycle drainStartCycle_ = 0;
 
     void sampleOccupancy();
-
-    StatGroup stats_;
 };
 
 // Inline: called once per element on both the detailed engine's fetch

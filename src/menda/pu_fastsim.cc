@@ -80,8 +80,7 @@ Pu::Pu(const Pu &parent, std::vector<StreamDesc> streams, bool final_iter,
       map_(parent.map_),
       mem_(mem),
       tree_(parent.config_, keyForMode(parent.mode_)),
-      output_(config_, &map_),
-      stats_(name_)
+      output_(config_, &map_)
 {
     // Throwaway measurement clone: never sampled, never traced; COO
     // stream reads resolve against the PARENT's ping-pong buffers.
@@ -193,7 +192,6 @@ Pu::acceptFunctional(const Packet &packet, std::uint64_t &write_blocks)
     output_.accept(packet);
     while (output_.hasPendingStore()) {
         output_.storeIssued();
-        ++stores_;
         ++write_blocks;
     }
 }
@@ -644,7 +642,6 @@ Pu::runFunctional(const ProgressHook &progress)
         // beginIteration time; drain those stores first.
         while (output_.hasPendingStore()) {
             output_.storeIssued();
-            ++stores_;
             ++writes;
         }
         const std::uint64_t elems = functionalMergeRounds(writes, {});
@@ -800,7 +797,6 @@ Pu::runSampled(const SampledConfig &sampled, const ProgressHook &progress)
         std::uint64_t writes = 0;
         while (output_.hasPendingStore()) {
             output_.storeIssued();
-            ++stores_;
             ++writes;
         }
         std::uint64_t last_retired = 0;

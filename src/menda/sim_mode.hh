@@ -22,8 +22,11 @@
 #ifndef MENDA_MENDA_SIM_MODE_HH
 #define MENDA_MENDA_SIM_MODE_HH
 
+#include <charconv>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "common/types.hh"
 
@@ -83,30 +86,33 @@ parseSimMode(const std::string &spec, SimMode &mode,
     }
     if (spec.rfind("sampled:", 0) != 0)
         return false;
-    const std::string args = spec.substr(8);
+    // Each field must be a complete unsigned decimal: from_chars rejects
+    // a sign, and the full-match check rejects trailing characters.
+    const auto parse_field = [](std::string_view text, Cycle &out) {
+        const char *end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+        return ec == std::errc() && ptr == end;
+    };
+    const std::string_view args = std::string_view(spec).substr(8);
     const std::size_t comma = args.find(',');
-    if (comma == std::string::npos)
+    if (comma == std::string_view::npos)
         return false;
-    try {
-        const unsigned long long w = std::stoull(args.substr(0, comma));
-        std::string rest = args.substr(comma + 1);
-        const std::size_t comma2 = rest.find(',');
-        unsigned long long warm = sampled.warmupCycles;
-        if (comma2 != std::string::npos) {
-            warm = std::stoull(rest.substr(comma2 + 1));
-            rest = rest.substr(0, comma2);
-        }
-        const unsigned long long p = std::stoull(rest);
-        if (w == 0 || p == 0)
+    std::string_view rest = args.substr(comma + 1);
+    Cycle w = 0, p = 0, warm = sampled.warmupCycles;
+    if (const std::size_t comma2 = rest.find(',');
+        comma2 != std::string_view::npos) {
+        if (!parse_field(rest.substr(comma2 + 1), warm))
             return false;
-        mode = SimMode::Sampled;
-        sampled.windowCycles = w;
-        sampled.periodCycles = p;
-        sampled.warmupCycles = warm;
-        return true;
-    } catch (...) {
-        return false;
+        rest = rest.substr(0, comma2);
     }
+    if (!parse_field(args.substr(0, comma), w) || !parse_field(rest, p) ||
+        w == 0 || p == 0)
+        return false;
+    mode = SimMode::Sampled;
+    sampled.windowCycles = w;
+    sampled.periodCycles = p;
+    sampled.warmupCycles = warm;
+    return true;
 }
 
 } // namespace menda::core

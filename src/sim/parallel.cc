@@ -71,10 +71,4 @@ ParallelRunner::run(std::size_t jobs,
         std::rethrow_exception(error);
 }
 
-void
-ParallelRunner::registerStats(StatGroup &group, const std::string &prefix) const
-{
-    group.add(prefix + ".jobsExecuted", jobsExecuted_);
-}
-
 } // namespace menda

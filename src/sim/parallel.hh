@@ -6,9 +6,10 @@
  * controller) pair evolves independently on its private clocks, so one
  * simulation shard per rank can run on its own host thread with no
  * synchronization beyond the final join. ParallelRunner is the small
- * fork/join primitive behind MendaSystem's parallel mode: it executes N
- * independent jobs across a bounded pool and rethrows the first worker
- * exception on the caller.
+ * fork/join primitive every KernelJob runs its shards on: it executes N
+ * independent jobs across a bounded pool (inline on the caller when the
+ * pool has one worker) and rethrows the first worker exception on the
+ * caller.
  *
  * Isolation rules the callers follow (enforced by construction, checked
  * by the ThreadSanitizer CI job):
@@ -56,9 +57,6 @@ class ParallelRunner
 
     /** Total jobs completed over this runner's lifetime. */
     std::uint64_t jobsExecuted() const { return jobsExecuted_.value(); }
-
-    /** Register pool counters under @p prefix. */
-    void registerStats(StatGroup &group, const std::string &prefix) const;
 
   private:
     unsigned threads_;

@@ -1,14 +1,13 @@
 /**
  * @file
  * Unit tests for common utilities: block math, RNG determinism, stats
- * registry, option parsing, and error macros.
+ * histograms and samplers, option parsing, and error macros.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/config.hh"
 #include "common/log.hh"
@@ -70,35 +69,6 @@ TEST(Rng, UniformCoversRange)
     EXPECT_GT(max, 0.99);
 }
 
-TEST(Stats, CountersCollectHierarchically)
-{
-    Counter hits;
-    hits += 5;
-    ++hits;
-    Counter misses;
-
-    StatGroup child("cache");
-    child.add("hits", hits);
-    child.add("misses", misses);
-    StatGroup parent("cpu");
-    parent.addChild(child);
-
-    auto collected = parent.collect();
-    EXPECT_EQ(collected.at("cpu.cache.hits"), 6.0);
-    EXPECT_EQ(collected.at("cpu.cache.misses"), 0.0);
-}
-
-TEST(Stats, DumpContainsEveryStat)
-{
-    Counter c;
-    c += 42;
-    StatGroup g("g");
-    g.add("answer", c);
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("g.answer 42"), std::string::npos);
-}
-
 TEST(Options, ParsesFlagsAndValues)
 {
     const char *argv[] = {"prog", "--scale=4", "--verbose", "file.mtx"};
@@ -130,33 +100,6 @@ TEST(Log, AssertPassesAndFails)
 {
     menda_assert(1 + 1 == 2, "arithmetic works");
     EXPECT_THROW(menda_assert(false, "nope"), std::runtime_error);
-}
-
-TEST(Stats, JsonDumpIsWellFormed)
-{
-    Counter c;
-    c += 7;
-    StatGroup g("unit");
-    g.add("events", c);
-    double scalar = 2.5;
-    g.add("ratio", &scalar);
-    std::ostringstream os;
-    g.dumpJson(os);
-    EXPECT_EQ(os.str(), "{\"unit.events\":7,\"unit.ratio\":2.5}");
-}
-
-TEST(Stats, DuplicateRegistrationAsserts)
-{
-    Counter a, b;
-    StatGroup g("dup");
-    g.add("events", a);
-    EXPECT_THROW(g.add("events", b), std::runtime_error);
-
-    // Same name across stat kinds collides too.
-    Histogram h;
-    EXPECT_THROW(g.add("events", h), std::runtime_error);
-    double scalar = 0.0;
-    EXPECT_THROW(g.add("events", &scalar), std::runtime_error);
 }
 
 TEST(Histogram, BucketsByLog2)

@@ -135,6 +135,14 @@ TEST_P(GoldenReports, ByteIdenticalAndZeroToleranceDiff)
         EXPECT_TRUE(entry.withinTolerance || entry.ignored)
             << entry.name << ": golden " << entry.baseline << " vs "
             << entry.current;
+
+    // Cross-check counters that reach the report independently: the
+    // per-rank totals must add up to the controller-wide counts.
+    const obs::RunReport &report = outcome.report;
+    EXPECT_EQ(report.metric("rankActivatesTotal"),
+              report.metric("activates"));
+    EXPECT_EQ(report.metric("rankBurstsTotal"),
+              report.metric("totalBlocks"));
 }
 
 INSTANTIATE_TEST_SUITE_P(

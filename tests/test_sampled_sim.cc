@@ -85,7 +85,16 @@ TEST(SimMode, ParseSpecs)
     EXPECT_FALSE(parseSimMode("sampled:0,100", mode, sampled));
     EXPECT_FALSE(parseSimMode("sampled:a,b", mode, sampled));
     EXPECT_FALSE(parseSimMode("turbo", mode, sampled));
+    // Negative fields must not wrap to 2^64 - n, and trailing garbage
+    // must not be silently dropped.
+    EXPECT_FALSE(parseSimMode("sampled:-1,131072", mode, sampled));
+    EXPECT_FALSE(parseSimMode("sampled:2048,-5", mode, sampled));
+    EXPECT_FALSE(parseSimMode("sampled:2048,131072,-1", mode, sampled));
+    EXPECT_FALSE(parseSimMode("sampled:5x,10", mode, sampled));
     EXPECT_EQ(mode, SimMode::Detailed) << "untouched on bad spec";
+    EXPECT_EQ(sampled.windowCycles, 512u);
+    EXPECT_EQ(sampled.periodCycles, 8192u);
+    EXPECT_EQ(sampled.warmupCycles, 256u);
 }
 
 namespace
