@@ -51,7 +51,7 @@ BM_MergeTreeThroughput(benchmark::State &state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(pops));
 }
-BENCHMARK(BM_MergeTreeThroughput)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_MergeTreeThroughput)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 void
 BM_GoldenTranspose(benchmark::State &state)

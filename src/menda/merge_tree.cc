@@ -1,6 +1,5 @@
 #include "menda/merge_tree.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/log.hh"
@@ -10,45 +9,77 @@ namespace menda::core
 
 MergeTree::MergeTree(const PuConfig &config, MergeKey key)
     : leaves_(config.leaves),
-      key_(key),
-      rootOut_(config.fifoEntries)
+      entries_(config.fifoEntries),
+      key_(key)
 {
     if (leaves_ < 2 || (leaves_ & (leaves_ - 1)) != 0)
         menda_fatal("merge tree needs a power-of-two leaf count >= 2, got ",
                     leaves_);
+    if (entries_ < 1 || entries_ > 255)
+        menda_fatal("merge tree FIFOs need 1..255 entries, got ", entries_);
     levels_ = static_cast<unsigned>(std::countr_zero(leaves_));
-    pes_.reserve(peCount());
-    for (unsigned p = 0; p < peCount(); ++p)
-        pes_.emplace_back(config.fifoEntries);
-    scheduledEpoch_.assign(peCount(), 0);
+    const unsigned nodes = 2 * leaves_ - 1;
+    fifos_.assign(nodes, Node{});
+    slots_.assign(static_cast<std::size_t>(nodes) * entries_, Packet{});
+    current_.assign((peCount() + 63) / 64, 0);
+    next_.assign(current_.size(), 0);
 #ifdef MENDA_CHECKS
     lastPeKey_.assign(peCount(), 0);
     peHasLast_.assign(peCount(), false);
 #endif
 }
 
+inline void
+MergeTree::popFrom(unsigned k)
+{
+    Node &f = fifos_[k];
+#ifdef MENDA_CHECKS
+    menda_assert(f.size > 0, "pop from empty merge-tree FIFO ", k);
+#endif
+    f.tokens -= !slots_[k * entries_ + f.head].valid;
+    f.head = f.head + 1u == entries_ ? 0
+                                     : static_cast<std::uint8_t>(f.head + 1);
+    --f.size;
+}
+
+inline void
+MergeTree::pushTo(unsigned k, const Packet &packet)
+{
+    Node &f = fifos_[k];
+#ifdef MENDA_CHECKS
+    menda_assert(f.size < entries_, "push to full merge-tree FIFO ", k);
+#endif
+    unsigned tail = f.head + f.size;
+    if (tail >= entries_)
+        tail -= entries_;
+    slots_[k * entries_ + tail] = packet;
+    f.tokens += !packet.valid;
+    ++f.size;
+}
+
 bool
 MergeTree::canPush(unsigned slot) const
 {
     menda_assert(slot < streamSlots(), "bad stream slot");
-    const unsigned pe = leaves_ / 2 - 1 + slot / 2;
-    return !pes_[pe].in[slot % 2].full();
+    return fifos_[leaves_ - 1 + slot].size < entries_;
 }
 
 void
 MergeTree::push(unsigned slot, const Packet &packet)
 {
     menda_assert(canPush(slot), "push to full stream slot");
-    const unsigned pe = leaves_ / 2 - 1 + slot / 2;
-    pes_[pe].in[slot % 2].push(packet);
+    const unsigned k = leaves_ - 1 + slot;
+    pushTo(k, packet);
     ++buffered_;
-    schedule(pe);
+    schedule((k - 1) / 2);
 }
 
 Packet
 MergeTree::pop()
 {
-    Packet packet = rootOut_.pop();
+    menda_assert(canPop(), "pop from empty merge tree");
+    const Packet packet = frontOf(0);
+    popFrom(0);
     --buffered_;
 #ifdef MENDA_CHECKS
     if (packet.valid) {
@@ -70,109 +101,107 @@ MergeTree::pop()
     return packet;
 }
 
-Fifo<Packet> &
-MergeTree::outputOf(unsigned pe, bool &is_root)
-{
-    if (pe == 0) {
-        is_root = true;
-        return rootOut_;
-    }
-    is_root = false;
-    return pes_[(pe - 1) / 2].in[(pe - 1) % 2];
-}
-
-void
-MergeTree::schedule(unsigned pe)
-{
-    if (scheduledEpoch_[pe] == epoch_ + 1)
-        return;
-    scheduledEpoch_[pe] = epoch_ + 1;
-    next_.push_back(pe);
-}
-
-void
+inline void
 MergeTree::scheduleNeighbours(unsigned pe)
 {
     schedule(pe);
     if (pe != 0)
         schedule((pe - 1) / 2);
-    const unsigned left = 2 * pe + 1;
-    if (left < peCount())
-        schedule(left);
-    const unsigned right = 2 * pe + 2;
-    if (right < peCount())
-        schedule(right);
+    // Leaf PEs have stream slots, not PEs, as children.
+    if (pe < leaves_ / 2 - 1) {
+        schedule(2 * pe + 1);
+        schedule(2 * pe + 2);
+    }
 }
 
-bool
+inline void
+MergeTree::noteFifoPop(unsigned k)
+{
+    if (k >= leaves_ - 1)
+        freedSlots_.push_back(k - (leaves_ - 1));
+}
+
+unsigned
+MergeTree::absorbTokens(unsigned pe, unsigned eol, unsigned sides)
+{
+    for (unsigned side = 0; side < 2; ++side) {
+        const unsigned k = 2 * pe + 1 + side;
+        if ((sides & (1u << side)) && !frontOf(k).valid) {
+            menda_assert(frontOf(k).eol, "invalid packet without EOL");
+            popFrom(k);
+            --buffered_;
+            eol |= 1u << side;
+            noteFifoPop(k);
+        }
+    }
+    return eol;
+}
+
+inline bool
 MergeTree::evaluate(unsigned pe)
 {
-    Pe &node = pes_[pe];
+    const unsigned in0 = 2 * pe + 1;
+    Node &node = fifos_[pe];
+    const Node &left = fifos_[in0];
+    const Node &right = fifos_[in0 + 1];
+    unsigned eol = node.eol;
     bool changed = false;
 
     // Absorb empty-stream tokens: pure control, no data slot consumed.
-    for (int side = 0; side < 2; ++side) {
-        if (!node.terminated[side] && !node.in[side].empty() &&
-            !node.in[side].front().valid) {
-            menda_assert(node.in[side].front().eol,
-                         "invalid packet without EOL");
-            node.in[side].pop();
-            --buffered_;
-            node.terminated[side] = true;
-            noteLeafPop(pe, side);
-            changed = true;
-        }
+    // Only an input still in its stream with a token buffered can have
+    // one at its front.
+    const unsigned maybe_token =
+        ~eol & ((left.tokens != 0) | (right.tokens != 0) << 1);
+    if (maybe_token != 0) [[unlikely]] {
+        const unsigned before = eol;
+        eol = absorbTokens(pe, eol, maybe_token);
+        changed = eol != before;
     }
 
-    bool is_root = false;
-    Fifo<Packet> &out = outputOf(pe, is_root);
-    if (out.full())
+    // A PE only pops when each side has either supplied a packet or
+    // finished its stream — otherwise a smaller index might still arrive.
+    const unsigned ready = eol | (left.size != 0) | (right.size != 0) << 1;
+    if (node.size == entries_ || ready != 3u) {
+        node.eol = static_cast<std::uint8_t>(eol);
         return changed;
+    }
 
-    const bool have[2] = {
-        !node.terminated[0] && !node.in[0].empty(),
-        !node.terminated[1] && !node.in[1].empty(),
-    };
-
-    if (node.terminated[0] && node.terminated[1]) {
+    if (eol == 3u) {
         // Both streams of this round were empty (or ended on absorbed
         // tokens): propagate a pure end-of-line and start the next round.
-        out.push(Packet::endOfLine());
+        node.eol = 0;
+        pushTo(pe, Packet::endOfLine());
         ++buffered_;
-        node.terminated[0] = node.terminated[1] = false;
 #ifdef MENDA_CHECKS
         peHasLast_[pe] = false;
 #endif
         return true;
     }
 
-    // A PE only pops when each side has either supplied a packet or
-    // finished its stream — otherwise a smaller index might still arrive.
-    if ((!have[0] && !node.terminated[0]) ||
-        (!have[1] && !node.terminated[1]))
-        return changed;
-
-    int side;
-    if (have[0] && have[1]) {
-        // Tie pops the LEFT child: stability keeps equal merge indices in
-        // leaf order, i.e. ascending secondary index.
-        side = mergeKey(node.in[0].front(), key_) <=
-                       mergeKey(node.in[1].front(), key_)
+    // Tie pops the LEFT child: stability keeps equal merge indices in
+    // leaf order, i.e. ascending secondary index. A side whose stream
+    // ended this round waits for the other.
+    unsigned side;
+    if (eol != 0)
+        side = eol == 1u ? 1 : 0;
+    else
+        side = mergeKey(frontOf(in0), key_) <=
+                       mergeKey(frontOf(in0 + 1), key_)
                    ? 0
                    : 1;
-    } else {
-        side = have[0] ? 0 : 1;
-    }
 
-    Packet packet = node.in[side].pop();
-    noteLeafPop(pe, side);
+    const unsigned k = in0 + side;
+    Packet packet = frontOf(k);
+    popFrom(k);
+    noteFifoPop(k);
     if (packet.eol)
-        node.terminated[side] = true;
-    packet.eol = node.terminated[0] && node.terminated[1];
+        eol |= 1u << side;
+    packet.eol = eol == 3u;
     if (packet.eol) {
         // Last element of the merged stream: round completes here.
-        node.terminated[0] = node.terminated[1] = false;
+        eol = 0;
     }
+    node.eol = static_cast<std::uint8_t>(eol);
 #ifdef MENDA_CHECKS
     if (packet.valid) {
         menda_assert(!peHasLast_[pe] ||
@@ -184,17 +213,8 @@ MergeTree::evaluate(unsigned pe)
     if (packet.eol)
         peHasLast_[pe] = false;
 #endif
-    out.push(packet);
+    pushTo(pe, packet);
     return true;
-}
-
-void
-MergeTree::noteLeafPop(unsigned pe, int side)
-{
-    const unsigned first_leaf = leaves_ / 2 - 1;
-    if (pe >= first_leaf)
-        freedSlots_.push_back((pe - first_leaf) * 2 +
-                              static_cast<unsigned>(side));
 }
 
 void
@@ -202,29 +222,32 @@ MergeTree::tick()
 {
     freedSlots_.clear();
     occupancyCycles_ += buffered_;
-    ++epoch_;
+    // Scheduling during the walk lands in next_, so current_ is stable.
+    // Ascending bit order visits parents before children: a packet
+    // advances one level per cycle.
     current_.swap(next_);
-    next_.clear();
-    // Parents before children: a packet advances one level per cycle.
-    std::sort(current_.begin(), current_.end());
-    for (unsigned pe : current_) {
-        if (evaluate(pe))
-            scheduleNeighbours(pe);
+    for (std::size_t w = 0; w < current_.size(); ++w) {
+        std::uint64_t bits = current_[w];
+        if (bits == 0)
+            continue;
+        current_[w] = 0;
+        const unsigned base = static_cast<unsigned>(w * 64);
+        do {
+            const unsigned pe =
+                base + static_cast<unsigned>(std::countr_zero(bits));
+            bits &= bits - 1;
+            if (evaluate(pe))
+                scheduleNeighbours(pe);
+        } while (bits != 0);
     }
-    current_.clear();
 }
 
 bool
 MergeTree::drained() const
 {
-    if (!rootOut_.empty())
-        return false;
-    for (const Pe &node : pes_) {
-        if (!node.in[0].empty() || !node.in[1].empty())
+    for (const Node &node : fifos_)
+        if (node.size != 0 || node.eol != 0)
             return false;
-        if (node.terminated[0] || node.terminated[1])
-            return false;
-    }
     return true;
 }
 

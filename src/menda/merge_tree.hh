@@ -10,12 +10,23 @@
  * bits delimit sorted streams and let consecutive rounds of merge sort
  * flow through back-to-back with no drain/refill stalls (Sec. 3.3).
  *
- * Simulation note: the model is cycle-accurate but visits a PE only on
- * cycles where one of its FIFOs changed ("active set"). Because a PE
- * moves at most one packet per cycle and its inputs/outputs only change
- * through its neighbours, a PE that stalled with unchanged FIFOs would
- * stall again — skipping it is exact, and the per-popped-element cost
- * drops from O(l) to O(log l).
+ * Layout: the tree is a binary heap of 2l-1 nodes, and FIFO k is the
+ * output of node k. Node 0 is the root PE, nodes 1..l-2 are the inner
+ * PEs and nodes l-1..2l-2 are the stream slots. PE p reads FIFOs 2p+1
+ * (left) and 2p+2 (right) and writes FIFO p; FIFO 0 is the root output.
+ * All packets sit in one flat array, FIFO k owning entries
+ * [k*fifoEntries, (k+1)*fifoEntries).
+ *
+ * Timing model: a tick visits, in ascending PE id (parents before
+ * children), only the PEs scheduled for it: those next to a FIFO that
+ * changed on the previous tick or since (a push, a root pop, or a move
+ * of a neighbouring PE). A FIFO change is seen by a PE visited later in
+ * the same tick, so a scheduled child can refill the slot its parent
+ * freed this cycle. An unscheduled child cannot, because it is not
+ * visited. The schedule is therefore part of the timing model, not just
+ * a speed-up: visiting every PE each tick in the same order would give
+ * different cycle counts (DESIGN.md Sec. 2). It costs O(log l) PE visits
+ * per popped element instead of O(l).
  */
 
 #ifndef MENDA_MENDA_MERGE_TREE_HH
@@ -27,7 +38,6 @@
 #include "common/stats.hh"
 #include "menda/packet.hh"
 #include "menda/pu_config.hh"
-#include "sim/fifo.hh"
 
 namespace menda::core
 {
@@ -35,6 +45,8 @@ namespace menda::core
 class MergeTree
 {
   public:
+    /** Throws (menda_fatal) unless leaves is a power of two >= 2 and
+     *  1 <= fifoEntries <= 255. */
     MergeTree(const PuConfig &config, MergeKey key);
 
     unsigned leaves() const { return leaves_; }
@@ -51,15 +63,15 @@ class MergeTree
     void push(unsigned slot, const Packet &packet);
 
     /** True if the root has produced a packet that can be popped. */
-    bool canPop() const { return !rootOut_.empty(); }
+    bool canPop() const { return fifos_[0].size != 0; }
 
     /** Peek the root output. */
-    const Packet &front() const { return rootOut_.front(); }
+    const Packet &front() const { return slots_[fifos_[0].head]; }
 
     /** Pop the root output (output buffer side). */
     Packet pop();
 
-    /** Advance every active PE by one cycle. */
+    /** Advance every scheduled PE by one cycle. */
     void tick();
 
     /**
@@ -93,39 +105,63 @@ class MergeTree
     std::uint64_t occupancy() const { return buffered_; }
 
   private:
-    struct Pe
+    /**
+     * Per heap node: the ring state of its output FIFO, the number of
+     * empty-stream tokens in it (so a visit with none to absorb reads no
+     * packet) and, for a PE, the end-of-line flags of its two inputs
+     * (bit 0 left, bit 1 right: that input's stream ended this round).
+     * Four bytes, so the state of a PE's three FIFOs sits on one or two
+     * cache lines.
+     */
+    struct Node
     {
-        Fifo<Packet> in[2];      ///< FIFOs from the two children
-        bool terminated[2] = {false, false}; ///< EOL seen this round
-
-        Pe(unsigned fifo_entries)
-            : in{Fifo<Packet>(fifo_entries), Fifo<Packet>(fifo_entries)}
-        {}
+        std::uint8_t head = 0;   ///< ring index of the oldest packet
+        std::uint8_t size = 0;   ///< packets buffered
+        std::uint8_t eol = 0;    ///< PE only: inputs that ended this round
+        std::uint8_t tokens = 0; ///< empty-stream tokens buffered
     };
 
     /** Evaluate PE @p pe; returns true if any state changed. */
     bool evaluate(unsigned pe);
 
-    /** Output FIFO of PE @p pe: root FIFO for 0, else parent input. */
-    Fifo<Packet> &outputOf(unsigned pe, bool &is_root);
+    /**
+     * Pop the empty-stream tokens at the front of the inputs of PE @p pe
+     * named in @p sides (bit per side); returns @p eol with the sides
+     * that absorbed one set.
+     */
+    unsigned absorbTokens(unsigned pe, unsigned eol, unsigned sides);
 
-    void schedule(unsigned pe);
+    /** Oldest packet of FIFO @p k (must be non-empty). */
+    Packet &frontOf(unsigned k)
+    {
+        return slots_[k * entries_ + fifos_[k].head];
+    }
+    /** Drop the oldest packet of FIFO @p k (must be non-empty). */
+    void popFrom(unsigned k);
+    /** Append @p packet to FIFO @p k (must not be full). */
+    void pushTo(unsigned k, const Packet &packet);
+
+    void schedule(unsigned pe)
+    {
+        next_[pe >> 6] |= std::uint64_t{1} << (pe & 63);
+    }
     void scheduleNeighbours(unsigned pe);
-    void noteLeafPop(unsigned pe, int side);
+    /** Record that a packet left FIFO @p k (a stream slot if k >= l-1). */
+    void noteFifoPop(unsigned k);
 
     unsigned leaves_;
     unsigned levels_;
+    unsigned entries_; ///< fifoEntries: capacity of every FIFO
     MergeKey key_;
 
-    std::vector<Pe> pes_;
-    Fifo<Packet> rootOut_;
+    std::vector<Node> fifos_;    ///< 2l-1 nodes in heap order
+    std::vector<Packet> slots_;  ///< (2l-1) * entries_ packets
     std::vector<unsigned> freedSlots_;
 
-    // Active-set scheduling.
-    std::vector<unsigned> current_;
-    std::vector<unsigned> next_;
-    std::vector<std::uint64_t> scheduledEpoch_;
-    std::uint64_t epoch_ = 1;
+    // Active set: bit p of current_ (next_) schedules PE p for this
+    // (the next) tick. current_ is all zero outside tick().
+    std::vector<std::uint64_t> current_;
+    std::vector<std::uint64_t> next_;
 
     Counter rootPops_, roundsDone_, occupancyCycles_;
     std::uint64_t buffered_ = 0; ///< packets currently in any FIFO

@@ -92,7 +92,6 @@ PrefetchBuffer::maybeStartChunk()
         // optimization removes.
         return;
     }
-    const std::uint64_t remaining = desc.end - cursor_;
     std::uint64_t chunk_end = 0;
     std::vector<Addr> condensed_blocks;
     if (desc.source == StreamSource::CondensedLeaf) {
@@ -113,7 +112,6 @@ PrefetchBuffer::maybeStartChunk()
     menda_assert(count > 0, "empty chunk");
     if (count > space)
         return; // the next span does not fit yet
-    (void)remaining;
 
     chunk_.active = true;
     chunk_.firstElem = cursor_;

@@ -32,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "dram/controller.hh"
 #include "menda/memory_map.hh"

@@ -1,13 +1,11 @@
 /**
  * @file
- * Tests for the simulation kernel: exact multi-domain clocking and FIFO
- * semantics.
+ * Tests for the simulation kernel: exact multi-domain clocking.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/clock.hh"
-#include "sim/fifo.hh"
 
 using namespace menda;
 
@@ -221,39 +219,4 @@ TEST(IdleSkip, IndefinitelyQuiescentComponentIsNeverTicked)
     EXPECT_GE(db->curCycle(), 498u);
     EXPECT_LE(done.ticks, 100u);
     EXPECT_LT(done.ticks, db->curCycle() / 2);
-}
-
-TEST(Fifo, PushPopOrder)
-{
-    Fifo<int> f(3);
-    EXPECT_TRUE(f.empty());
-    f.push(1);
-    f.push(2);
-    f.push(3);
-    EXPECT_TRUE(f.full());
-    EXPECT_EQ(f.pop(), 1);
-    f.push(4);
-    EXPECT_EQ(f.pop(), 2);
-    EXPECT_EQ(f.pop(), 3);
-    EXPECT_EQ(f.pop(), 4);
-    EXPECT_TRUE(f.empty());
-}
-
-TEST(Fifo, OverflowAndUnderflowAreBugs)
-{
-    Fifo<int> f(1);
-    f.push(1);
-    EXPECT_THROW(f.push(2), std::runtime_error);
-    f.pop();
-    EXPECT_THROW(f.pop(), std::runtime_error);
-}
-
-TEST(Fifo, WrapsAroundManyTimes)
-{
-    Fifo<int> f(2);
-    for (int i = 0; i < 1000; ++i) {
-        f.push(i);
-        ASSERT_EQ(f.front(), i);
-        ASSERT_EQ(f.pop(), i);
-    }
 }
