@@ -2,12 +2,16 @@
  * @file
  * Google-benchmark microbenchmarks of the core kernels: merge-tree
  * throughput, golden transposition, the CPU baselines, DRAM streaming,
- * and a full small PU transposition. These track the *simulator's* host
- * performance, guarding against regressions that would make the figure
- * harnesses impractically slow.
+ * a full small PU transposition and matrix generation. These track the
+ * *simulator's* host performance, guarding against regressions that would
+ * make the figure harnesses impractically slow.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "baselines/merge_trans.hh"
 #include "baselines/scan_trans.hh"
@@ -25,21 +29,33 @@ namespace
 void
 BM_MergeTreeThroughput(benchmark::State &state)
 {
+    // Drive the pushes as the PU's push queue does: a slot with packets
+    // left tries once per cycle until its leaf FIFO is full, then waits
+    // until the tree lists it in freedSlots(). The loop thus costs what
+    // the tree does, not a scan over every slot per cycle.
     core::PuConfig config;
     config.leaves = static_cast<unsigned>(state.range(0));
+    const unsigned per_stream = 256;
     std::uint64_t pops = 0;
     for (auto _ : state) {
         core::MergeTree tree(config, core::MergeKey::Column);
         const unsigned slots = tree.streamSlots();
         std::vector<unsigned> sent(slots, 0);
-        const unsigned per_stream = 256;
+        std::vector<unsigned> ready(slots), next;
+        std::iota(ready.begin(), ready.end(), 0u);
+        std::vector<char> queued(slots, 1);
         while (tree.roundsCompleted() == 0) {
-            for (unsigned s = 0; s < slots; ++s) {
-                if (sent[s] < per_stream && tree.canPush(s)) {
-                    tree.push(s, core::Packet::data(
-                                     s, sent[s] * slots + s, 1.0f,
-                                     sent[s] + 1 == per_stream));
-                    ++sent[s];
+            next.clear();
+            for (unsigned s : ready) {
+                queued[s] = 0;
+                if (!tree.canPush(s))
+                    continue;
+                tree.push(s, core::Packet::data(
+                                 s, sent[s] * slots + s, 1.0f,
+                                 sent[s] + 1 == per_stream));
+                if (++sent[s] < per_stream) {
+                    next.push_back(s);
+                    queued[s] = 1;
                 }
             }
             if (tree.canPop()) {
@@ -47,6 +63,12 @@ BM_MergeTreeThroughput(benchmark::State &state)
                 ++pops;
             }
             tree.tick();
+            for (unsigned s : tree.freedSlots())
+                if (sent[s] < per_stream && !queued[s]) {
+                    next.push_back(s);
+                    queued[s] = 1;
+                }
+            std::swap(ready, next);
         }
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(pops));
@@ -215,6 +237,50 @@ BM_PuTranspose(benchmark::State &state)
                             static_cast<std::int64_t>(a.nnz()));
 }
 BENCHMARK(BM_PuTranspose)->Arg(20000)->Arg(60000);
+
+/** Tab. 3 N1 at 1/8 and full size: {rows, nnz}. */
+void
+generatorSizes(benchmark::internal::Benchmark *b)
+{
+    b->Args({32768, 429496})->Args({262144, 3435973});
+    b->Unit(benchmark::kMillisecond);
+}
+
+void
+BM_GenerateUniform(benchmark::State &state)
+{
+    const auto rows = static_cast<Index>(state.range(0));
+    const auto nnz = static_cast<std::uint64_t>(state.range(1));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            sparse::generateUniform(rows, rows, nnz, 1));
+    state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_GenerateUniform)->Apply(generatorSizes);
+
+void
+BM_GenerateRmat(benchmark::State &state)
+{
+    const auto rows = static_cast<Index>(state.range(0));
+    const auto nnz = static_cast<std::uint64_t>(state.range(1));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            sparse::generateRmat(rows, nnz, 0.1, 0.2, 0.3, 1));
+    state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_GenerateRmat)->Apply(generatorSizes);
+
+void
+BM_GenerateCircuit(benchmark::State &state)
+{
+    // rajat21's shape (about 4.6 nnz per row) at the same non-zero counts.
+    const auto nnz = static_cast<std::uint64_t>(state.range(1));
+    const auto rows = static_cast<Index>(nnz * 411676 / 1876011);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sparse::generateCircuit(rows, nnz, 1));
+    state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_GenerateCircuit)->Apply(generatorSizes);
 
 } // namespace
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <functional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "common/log.hh"
 #include "common/random.hh"
 #include "obs/json.hh"
+#include "sparse/coords.hh"
 #include "sparse/generate.hh"
 
 namespace menda::check
@@ -19,33 +19,25 @@ namespace menda::check
 namespace
 {
 
+/**
+ * Distinct (row, col) sampler for the hand-rolled pathological kinds:
+ * the sorted non-zeros take their values from @p rng in row-major order.
+ */
 sparse::CsrMatrix
-cooToSortedCsr(sparse::CooMatrix coo)
-{
-    // cooToCsr accepts arbitrary order; it buckets by row and sorts
-    // columns within each row.
-    return sparse::cooToCsr(std::move(coo));
-}
-
-/** Distinct (row, col) sampler for the hand-rolled pathological kinds. */
-void
-sampleDistinct(sparse::CooMatrix &coo, std::uint64_t nnz, Rng &rng,
+sampleDistinct(Index rows, Index cols, std::uint64_t nnz, Rng &rng,
                const std::function<std::pair<Index, Index>(Rng &)> &draw)
 {
     // Distinct-edge sampling with a retry bound: pathological shapes can
     // saturate their region, in which case the matrix just ends up a
     // little sparser than requested — fine for fuzzing.
-    std::set<std::pair<Index, Index>> seen;
+    sparse::DistinctKeys seen(nnz);
     std::uint64_t attempts = 0;
     while (seen.size() < nnz && attempts < nnz * 64 + 1024) {
         ++attempts;
-        seen.insert(draw(rng));
+        const auto [r, c] = draw(rng);
+        seen.insert(sparse::packKey(r, c));
     }
-    for (const auto &[r, c] : seen) {
-        coo.row.push_back(r);
-        coo.col.push_back(c);
-        coo.val.push_back(rng.value());
-    }
+    return sparse::keysToCsr(rows, cols, seen.take(), rng);
 }
 
 sparse::CsrMatrix
@@ -55,22 +47,18 @@ generateEmptyRows(const MatrixSpec &spec)
     // most rows — including the leading and trailing ranges that hit
     // partition boundaries — are empty, and so are most output columns.
     Rng rng(spec.seed);
-    sparse::CooMatrix coo;
-    coo.rows = spec.rows;
-    coo.cols = spec.cols;
     const Index live_rows = std::max<Index>(1, spec.rows / 8);
     const Index row_base = spec.rows > live_rows
                                ? static_cast<Index>(
                                      rng.below(spec.rows - live_rows))
                                : 0;
     const Index live_cols = std::max<Index>(1, spec.cols / 4);
-    sampleDistinct(coo, spec.nnz, rng, [&](Rng &r) {
+    return sampleDistinct(spec.rows, spec.cols, spec.nnz, rng, [&](Rng &r) {
         return std::pair<Index, Index>(
             row_base + static_cast<Index>(r.below(live_rows)),
             static_cast<Index>(r.below(live_cols)) *
                 (spec.cols / live_cols));
     });
-    return cooToSortedCsr(std::move(coo));
 }
 
 sparse::CsrMatrix
@@ -84,32 +72,36 @@ generateDenseRows(const MatrixSpec &spec)
     coo.rows = spec.rows;
     coo.cols = spec.cols;
     const unsigned dense = 1 + static_cast<unsigned>(rng.below(3));
-    std::set<Index> dense_rows;
-    while (dense_rows.size() < std::min<std::size_t>(dense, spec.rows))
-        dense_rows.insert(static_cast<Index>(rng.below(spec.rows)));
+    std::vector<Index> dense_rows;
+    while (dense_rows.size() < std::min<std::size_t>(dense, spec.rows)) {
+        const Index r = static_cast<Index>(rng.below(spec.rows));
+        if (std::find(dense_rows.begin(), dense_rows.end(), r) ==
+            dense_rows.end())
+            dense_rows.push_back(r);
+    }
+    std::sort(dense_rows.begin(), dense_rows.end());
     for (Index r : dense_rows)
         for (Index c = 0; c < spec.cols; ++c) {
             coo.row.push_back(r);
             coo.col.push_back(c);
             coo.val.push_back(rng.value());
         }
-    sparse::CooMatrix background;
-    background.rows = spec.rows;
-    background.cols = spec.cols;
-    sampleDistinct(background, spec.nnz, rng, [&](Rng &r) {
-        Index row = static_cast<Index>(r.below(spec.rows));
-        while (dense_rows.count(row) != 0)
-            row = static_cast<Index>(r.below(spec.rows));
-        return std::pair<Index, Index>(
-            row, static_cast<Index>(r.below(spec.cols)));
-    });
+    const sparse::CooMatrix background = sparse::csrToCoo(sampleDistinct(
+        spec.rows, spec.cols, spec.nnz, rng, [&](Rng &r) {
+            Index row = static_cast<Index>(r.below(spec.rows));
+            while (std::find(dense_rows.begin(), dense_rows.end(), row) !=
+                   dense_rows.end())
+                row = static_cast<Index>(r.below(spec.rows));
+            return std::pair<Index, Index>(
+                row, static_cast<Index>(r.below(spec.cols)));
+        }));
     coo.row.insert(coo.row.end(), background.row.begin(),
                    background.row.end());
     coo.col.insert(coo.col.end(), background.col.begin(),
                    background.col.end());
     coo.val.insert(coo.val.end(), background.val.begin(),
                    background.val.end());
-    return cooToSortedCsr(std::move(coo));
+    return sparse::cooToCsr(std::move(coo));
 }
 
 sparse::CsrMatrix
@@ -140,8 +132,9 @@ generateSingleColumn(const MatrixSpec &spec)
         coo.val.push_back(rng.value());
     }
     // The diagonal sprinkle may produce duplicate (r, c) pairs; dedup so
-    // CSR stays a set of coordinates.
-    sparse::CsrMatrix csr = cooToSortedCsr(std::move(coo));
+    // CSR stays a set of coordinates. cooToCsr keeps repeats in input
+    // order, so the first draw's value is the one kept.
+    sparse::CsrMatrix csr = sparse::cooToCsr(std::move(coo));
     sparse::CooMatrix dedup;
     dedup.rows = csr.rows;
     dedup.cols = csr.cols;
@@ -152,7 +145,7 @@ generateSingleColumn(const MatrixSpec &spec)
                 dedup.col.push_back(csr.idx[k]);
                 dedup.val.push_back(csr.val[k]);
             }
-    return cooToSortedCsr(std::move(dedup));
+    return sparse::cooToCsr(std::move(dedup));
 }
 
 sparse::CsrMatrix
@@ -163,12 +156,9 @@ generateDuplicateHeavy(const MatrixSpec &spec)
     // (row, col) keys, stressing the root accumulator; as A it yields
     // long equal-key runs through the merge tree.
     Rng rng(spec.seed);
-    sparse::CooMatrix coo;
-    coo.rows = spec.rows;
-    coo.cols = spec.cols;
     const Index hot_cols =
         std::max<Index>(1, std::min<Index>(4, spec.cols));
-    sampleDistinct(coo, spec.nnz, rng, [&](Rng &r) {
+    return sampleDistinct(spec.rows, spec.cols, spec.nnz, rng, [&](Rng &r) {
         const Index row = static_cast<Index>(r.below(spec.rows));
         const Index col =
             r.below(4) == 0
@@ -176,7 +166,6 @@ generateDuplicateHeavy(const MatrixSpec &spec)
                 : static_cast<Index>(r.below(hot_cols));
         return std::pair<Index, Index>(row, col);
     });
-    return cooToSortedCsr(std::move(coo));
 }
 
 Index

@@ -1,9 +1,10 @@
 #include "sparse/format.hh"
 
-#include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/log.hh"
+#include "sparse/coords.hh"
 
 namespace menda::sparse
 {
@@ -168,27 +169,24 @@ asCscOfTranspose(const CsrMatrix &a)
 CsrMatrix
 cooToCsr(CooMatrix coo)
 {
-    std::vector<std::size_t> order(coo.nnz());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t x, std::size_t y) {
-                  if (coo.row[x] != coo.row[y])
-                      return coo.row[x] < coo.row[y];
-                  return coo.col[x] < coo.col[y];
-              });
-
+    // Each entry carries its input position below the column, so
+    // repeated coordinates stay apart and keep their input order.
+    std::vector<std::uint64_t> entries;
     CsrMatrix out;
     out.rows = coo.rows;
     out.cols = coo.cols;
-    out.ptr.assign(static_cast<std::size_t>(coo.rows) + 1, 0);
-    out.idx.reserve(coo.nnz());
-    out.val.reserve(coo.nnz());
-    for (std::size_t k : order) {
-        ++out.ptr[coo.row[k] + 1];
-        out.idx.push_back(coo.col[k]);
-        out.val.push_back(coo.val[k]);
+    out.ptr = sortIntoRows(
+        coo.rows, coo.nnz(), [&](std::size_t k) { return coo.row[k]; },
+        [&](std::size_t k) {
+            return (static_cast<std::uint64_t>(coo.col[k]) << 32) | k;
+        },
+        entries);
+    out.idx.resize(entries.size());
+    out.val.resize(entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        out.idx[i] = static_cast<Index>(entries[i] >> 32);
+        out.val[i] = coo.val[entries[i] & 0xffffffffu];
     }
-    std::partial_sum(out.ptr.begin(), out.ptr.end(), out.ptr.begin());
     return out;
 }
 

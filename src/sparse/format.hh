@@ -92,7 +92,10 @@ CsrMatrix transposeReference(const CscMatrix &a);
 CsrMatrix asCsrOfTranspose(const CscMatrix &a);
 CscMatrix asCscOfTranspose(const CsrMatrix &a);
 
-/** Build CSR from (possibly unsorted) COO triples. Duplicates are kept. */
+/**
+ * Build CSR from (possibly unsorted) COO triples. Repeated coordinates
+ * are kept, in input order.
+ */
 CsrMatrix cooToCsr(CooMatrix coo);
 
 /** Expand CSR to COO in row-major order. */

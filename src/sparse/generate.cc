@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/random.hh"
+#include "sparse/coords.hh"
 
 namespace menda::sparse
 {
@@ -14,38 +14,16 @@ namespace menda::sparse
 namespace
 {
 
-/** Pack a coordinate for dedup/sorting: row-major order. */
-constexpr std::uint64_t
-key(Index r, Index c)
-{
-    return (static_cast<std::uint64_t>(r) << 32) | c;
-}
-
-/** Build a CSR matrix from a set of unique, packed coordinates. */
+/**
+ * CSR of the packed @p keys, repeats collapsed, with values drawn in
+ * row-major order from a stream derived from @p seed.
+ */
 CsrMatrix
 fromKeys(Index rows, Index cols, std::vector<std::uint64_t> keys,
          std::uint64_t seed)
 {
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-
     Rng value_rng(seed ^ 0xabcdef1234567890ull);
-    CsrMatrix out;
-    out.rows = rows;
-    out.cols = cols;
-    out.ptr.assign(static_cast<std::size_t>(rows) + 1, 0);
-    out.idx.reserve(keys.size());
-    out.val.reserve(keys.size());
-    for (std::uint64_t k : keys) {
-        Index r = static_cast<Index>(k >> 32);
-        Index c = static_cast<Index>(k & 0xffffffffu);
-        ++out.ptr[r + 1];
-        out.idx.push_back(c);
-        out.val.push_back(value_rng.value());
-    }
-    for (std::size_t r = 0; r < rows; ++r)
-        out.ptr[r + 1] += out.ptr[r];
-    return out;
+    return keysToCsr(rows, cols, std::move(keys), value_rng);
 }
 
 } // namespace
@@ -61,16 +39,13 @@ generateUniform(Index rows, Index cols, std::uint64_t nnz,
                     cols);
 
     Rng rng(seed);
-    std::unordered_set<std::uint64_t> picked;
-    picked.reserve(nnz * 2);
+    DistinctKeys picked(nnz);
     while (picked.size() < nnz) {
         Index r = static_cast<Index>(rng.below(rows));
         Index c = static_cast<Index>(rng.below(cols));
-        picked.insert(key(r, c));
+        picked.insert(packKey(r, c));
     }
-    return fromKeys(rows, cols,
-                    std::vector<std::uint64_t>(picked.begin(), picked.end()),
-                    seed);
+    return fromKeys(rows, cols, picked.take(), seed);
 }
 
 CsrMatrix
@@ -89,8 +64,7 @@ generateRmat(Index rows, std::uint64_t nnz, double a, double b, double c,
         ++levels;
 
     Rng rng(seed);
-    std::unordered_set<std::uint64_t> picked;
-    picked.reserve(nnz * 2);
+    DistinctKeys picked(nnz);
     // SNAP's GenRMat perturbs the quadrant probabilities per recursion
     // level (+-10% noise, then renormalized); without it the hubs of
     // deep R-MAT recursions are unrealistically concentrated.
@@ -120,11 +94,9 @@ generateRmat(Index rows, std::uint64_t nnz, double a, double b, double c,
                 col |= 1;
             }
         }
-        picked.insert(key(r, col));
+        picked.insert(packKey(r, col));
     }
-    return fromKeys(rows, rows,
-                    std::vector<std::uint64_t>(picked.begin(), picked.end()),
-                    seed);
+    return fromKeys(rows, rows, picked.take(), seed);
 }
 
 CsrMatrix
@@ -132,15 +104,17 @@ generateBanded(Index rows, Index band, double fill, std::uint64_t seed)
 {
     Rng rng(seed);
     std::vector<std::uint64_t> keys;
-    keys.reserve(static_cast<std::size_t>(rows * band * fill * 1.1) + rows);
+    keys.reserve(static_cast<std::size_t>(static_cast<double>(rows) * band *
+                                          fill * 1.1) +
+                 rows);
     for (Index r = 0; r < rows; ++r) {
         // Diagonal is always present, as in FEM stiffness matrices.
-        keys.push_back(key(r, r));
+        keys.push_back(packKey(r, r));
         Index lo = r > band / 2 ? r - band / 2 : 0;
         Index hi = std::min<Index>(rows - 1, r + band / 2);
         for (Index c = lo; c <= hi; ++c) {
             if (c != r && rng.uniform() < fill)
-                keys.push_back(key(r, c));
+                keys.push_back(packKey(r, c));
         }
     }
     return fromKeys(rows, rows, std::move(keys), seed);
@@ -149,24 +123,27 @@ generateBanded(Index rows, Index band, double fill, std::uint64_t seed)
 CsrMatrix
 generateCircuit(Index rows, std::uint64_t nnz, std::uint64_t seed)
 {
+    if (rows == 0)
+        menda_fatal("generateCircuit: matrix needs at least one row");
     Rng rng(seed);
     std::vector<std::uint64_t> keys;
     keys.reserve(nnz + rows);
 
     // Diagonal (device self-conductance).
     for (Index r = 0; r < rows; ++r)
-        keys.push_back(key(r, r));
+        keys.push_back(packKey(r, r));
 
     // A handful of dense rows and columns modeling supply rails.
-    const Index n_rails = std::max<Index>(2, rows / 50000);
+    const Index n_rails =
+        std::min<Index>(rows, std::max<Index>(2, rows / 50000));
     const std::uint64_t rail_budget = nnz / 20;
     for (std::uint64_t i = 0; i < rail_budget; ++i) {
         Index rail = static_cast<Index>(rng.below(n_rails));
         Index other = static_cast<Index>(rng.below(rows));
         if (i % 2 == 0)
-            keys.push_back(key(rail, other));
+            keys.push_back(packKey(rail, other));
         else
-            keys.push_back(key(other, rail));
+            keys.push_back(packKey(other, rail));
     }
 
     // Local couplings with short, geometrically distributed reach.
@@ -174,8 +151,8 @@ generateCircuit(Index rows, std::uint64_t nnz, std::uint64_t seed)
         Index r = static_cast<Index>(rng.below(rows));
         std::uint64_t reach = 1 + rng.below(64);
         Index c = static_cast<Index>((r + reach) % rows);
-        keys.push_back(key(r, c));
-        keys.push_back(key(c, r)); // circuits are structurally symmetric
+        keys.push_back(packKey(r, c));
+        keys.push_back(packKey(c, r)); // circuits are structurally symmetric
     }
     return fromKeys(rows, rows, std::move(keys), seed);
 }
@@ -186,11 +163,10 @@ generateLocalGraph(Index rows, std::uint64_t nnz, Index reach,
 {
     menda_assert(reach > 0 && reach < rows, "bad reach");
     Rng rng(seed);
-    std::unordered_set<std::uint64_t> picked;
-    picked.reserve(nnz * 2);
+    DistinctKeys picked(nnz);
     // A connectivity backbone keeps traversals from fragmenting.
     for (Index r = 0; r + 1 < rows && picked.size() < nnz; ++r)
-        picked.insert(key(r, r + 1));
+        picked.insert(packKey(r, r + 1));
     while (picked.size() < nnz) {
         Index r = static_cast<Index>(rng.below(rows));
         // Skewed reach: most edges are short, a few span the window.
@@ -198,17 +174,14 @@ generateLocalGraph(Index rows, std::uint64_t nnz, Index reach,
         if (rng.below(4) != 0)
             span = 1 + span % (reach / 8 + 1);
         Index c = static_cast<Index>((r + span) % rows);
-        picked.insert(key(r, c));
+        picked.insert(packKey(r, c));
         if (rng.below(2) == 0 && picked.size() < nnz) {
             Index back = r >= span ? r - static_cast<Index>(span)
                                    : static_cast<Index>(r + rows - span);
-            picked.insert(key(r, back % rows));
+            picked.insert(packKey(r, back % rows));
         }
     }
-    return fromKeys(rows, rows,
-                    std::vector<std::uint64_t>(picked.begin(),
-                                               picked.end()),
-                    seed);
+    return fromKeys(rows, rows, picked.take(), seed);
 }
 
 CsrMatrix
@@ -226,7 +199,7 @@ generateSkewedRows(Index rows, Index cols, std::uint64_t nnz, double skew,
             avg * (1.0 - skew) + avg * skew * (-std::log(1.0 - u)));
         len = std::min<std::uint64_t>(len, cols);
         for (std::uint64_t i = 0; i < len; ++i)
-            keys.push_back(key(r, static_cast<Index>(rng.below(cols))));
+            keys.push_back(packKey(r, static_cast<Index>(rng.below(cols))));
     }
     return fromKeys(rows, cols, std::move(keys), seed);
 }

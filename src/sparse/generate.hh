@@ -5,8 +5,16 @@
  * Implements the two generators of Tab. 3: uniform matrices built by
  * "randomly sampling NZs until NNZ is reached", and power-law matrices in
  * the style of SNAP's GenRMat(dim, nnz, a, b, c) R-MAT generator. Extra
- * structured generators (banded, block-diagonal, circuit-like) provide
- * stand-ins for the SuiteSparse kinds of Tab. 4 (see DESIGN.md §3).
+ * structured generators (banded, circuit-like, skewed-row, locality
+ * graph) provide stand-ins for the SuiteSparse kinds of Tab. 4 (see
+ * DESIGN.md §3).
+ *
+ * Cost: O(draws) RNG work plus O(nnz + rows) assembly. The samplers keep
+ * distinct coordinates in a flat open-addressing set and every generator
+ * builds CSR with one row-bucketed sort (sparse/coords.hh): a counting
+ * sort by row, then a sort of each row's columns. Values are drawn in
+ * row-major order, so a matrix depends only on its arguments. R-MAT is
+ * bound by its five RNG draws per recursion level per attempt.
  */
 
 #ifndef MENDA_SPARSE_GENERATE_HH
@@ -44,6 +52,7 @@ CsrMatrix generateBanded(Index rows, Index band, double fill,
 /**
  * Circuit-simulation style: strong diagonal, short local coupling, and a
  * few dense rows/columns (supply rails) — rajat21, transient, twotone...
+ * @p rows must be at least 1.
  */
 CsrMatrix generateCircuit(Index rows, std::uint64_t nnz, std::uint64_t seed);
 

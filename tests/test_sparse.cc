@@ -1,13 +1,20 @@
 /**
  * @file
- * Tests for the sparse substrate: formats, golden transpose, generators,
- * Matrix Market I/O, partitioning, and the Tab. 3/4 workload factory.
+ * Tests for the sparse substrate: formats, coordinate-to-CSR assembly,
+ * golden transpose, generators, Matrix Market I/O, partitioning, and the
+ * Tab. 3/4 workload factory.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
+#include <string>
 
+#include "check/case_spec.hh"
+#include "common/random.hh"
+#include "sparse/coords.hh"
 #include "sparse/format.hh"
 #include "sparse/generate.hh"
 #include "sparse/mmio.hh"
@@ -306,4 +313,208 @@ TEST(Partition, RowPartitionIsImbalancedOnSkew)
     CsrMatrix p = generateRmat(4096, 60000, 0.1, 0.2, 0.3, 13);
     EXPECT_GT(imbalance(p, partitionByRows(p, 8)), 1.5);
     EXPECT_LT(imbalance(p, partitionByNnz(p, 8)), 1.1);
+}
+
+namespace
+{
+
+/** FNV-1a over the raw bytes of @p value. */
+template <typename T>
+void
+fnvMix(std::uint64_t &hash, const T &value)
+{
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (unsigned char byte : bytes) {
+        hash ^= byte;
+        hash *= 0x100000001b3ull;
+    }
+}
+
+/** FNV-1a digest of a matrix's dimensions and its three arrays. */
+std::uint64_t
+matrixDigest(const CsrMatrix &a)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    fnvMix(hash, a.rows);
+    fnvMix(hash, a.cols);
+    for (std::uint32_t p : a.ptr)
+        fnvMix(hash, p);
+    for (Index c : a.idx)
+        fnvMix(hash, c);
+    for (Value v : a.val)
+        fnvMix(hash, v);
+    return hash;
+}
+
+/**
+ * Digests of every public generator at three seeds, two workload
+ * stand-ins and the fuzzer's hand-rolled kinds, checked by
+ * Generate.OutputsArePinned. Any change to one is a change to the
+ * matrices every benchmark, golden report and fuzz case is built from.
+ * singleColumn draws some coordinates twice and keeps one value each;
+ * its digests pin that the first draw's value is the one kept.
+ */
+struct PinnedMatrix
+{
+    const char *name;
+    std::uint64_t digest;
+};
+
+const PinnedMatrix kPinnedMatrices[] = {
+    {"uniform/7", 0x239d191cbc2ddaa4ull},
+    {"uniformFull/7", 0x158f0f964bcee737ull},
+    {"rmat/7", 0x4bbc70f127975421ull},
+    {"banded/7", 0x6f6483d20fe3b6eaull},
+    {"circuit/7", 0x722a11eb92b8ca11ull},
+    {"skewedRows/7", 0xbb8cfb60ec2e156eull},
+    {"localGraph/7", 0x7378ad31675141f8ull},
+    {"emptyRows/7", 0xa6cad4093937b5edull},
+    {"denseRows/7", 0x68eed05d38717460ull},
+    {"singleColumn/7", 0x4c7409d5c57bfe3eull},
+    {"duplicateHeavy/7", 0x14ff0f01017b80c1ull},
+    {"uniform/11", 0xe17c2dd54738c003ull},
+    {"uniformFull/11", 0x7379c2a2777223acull},
+    {"rmat/11", 0x2bacb8223819be81ull},
+    {"banded/11", 0xb24183b41142b5eeull},
+    {"circuit/11", 0x97fdeb96704964ffull},
+    {"skewedRows/11", 0xa330f917fb7c7d0eull},
+    {"localGraph/11", 0x31026b2b6b23e63full},
+    {"emptyRows/11", 0x41f11c0beb0846dbull},
+    {"denseRows/11", 0xfc4b52a5f5d35d8eull},
+    {"singleColumn/11", 0x3926552a7ce9861eull},
+    {"duplicateHeavy/11", 0x3dc47583c6dc9743ull},
+    {"uniform/1000003", 0x8d3b13fe32fcbd54ull},
+    {"uniformFull/1000003", 0x6e923afca8a6929aull},
+    {"rmat/1000003", 0xa9db758c11d3c56aull},
+    {"banded/1000003", 0x668fa8dddda83689ull},
+    {"circuit/1000003", 0x35d98522e02c1662ull},
+    {"skewedRows/1000003", 0x69588dc0a521e44cull},
+    {"localGraph/1000003", 0xeec157650aea5cedull},
+    {"emptyRows/1000003", 0x729a1004362ed471ull},
+    {"denseRows/1000003", 0xa3e7be1e88f15a01ull},
+    {"singleColumn/1000003", 0x1c44a7516c941283ull},
+    {"duplicateHeavy/1000003", 0xa9637d6cedda137eull},
+    {"N3/64", 0x561f8ad1dc127899ull},
+    {"amazon/64", 0x4ea8a2a015197861ull},
+};
+
+} // namespace
+
+TEST(Generate, OutputsArePinned)
+{
+    auto expect_pinned = [](const std::string &name, const CsrMatrix &a) {
+        a.validate();
+        const std::uint64_t got = matrixDigest(a);
+        const PinnedMatrix *pinned = nullptr;
+        for (const PinnedMatrix &m : kPinnedMatrices)
+            if (name == m.name)
+                pinned = &m;
+        ASSERT_NE(pinned, nullptr) << "no pinned digest for " << name
+                                   << "; got 0x" << std::hex << got;
+        EXPECT_EQ(got, pinned->digest)
+            << name << " changed: got 0x" << std::hex << got;
+    };
+
+    for (std::uint64_t seed : {7ull, 11ull, 1000003ull}) {
+        const std::string s = "/" + std::to_string(seed);
+        expect_pinned("uniform" + s, generateUniform(2000, 1500, 30000, seed));
+        expect_pinned("uniformFull" + s, generateUniform(64, 64, 4096, seed));
+        expect_pinned("rmat" + s,
+                      generateRmat(4096, 40000, 0.1, 0.2, 0.3, seed));
+        expect_pinned("banded" + s, generateBanded(3000, 21, 0.5, seed));
+        expect_pinned("circuit" + s, generateCircuit(5000, 30000, seed));
+        expect_pinned("skewedRows" + s,
+                      generateSkewedRows(3000, 2000, 30000, 0.7, seed));
+        expect_pinned("localGraph" + s,
+                      generateLocalGraph(4096, 30000, 4096 / 30, seed));
+        for (check::MatrixKind kind :
+             {check::MatrixKind::EmptyRows, check::MatrixKind::DenseRows,
+              check::MatrixKind::SingleColumn,
+              check::MatrixKind::DuplicateHeavy}) {
+            check::MatrixSpec spec;
+            spec.kind = kind;
+            spec.rows = 300;
+            spec.cols = 200;
+            spec.nnz = 3000;
+            spec.seed = seed;
+            expect_pinned(std::string(check::matrixKindName(kind)) + s,
+                          check::buildMatrix(spec));
+        }
+    }
+    expect_pinned("N3/64", makeWorkload(findWorkload("N3"), 64));
+    expect_pinned("amazon/64", makeWorkload(findWorkload("amazon"), 64));
+}
+
+TEST(Format, CooToCsrSortsAnyInputOrder)
+{
+    const CsrMatrix a = generateUniform(300, 200, 4000, 21);
+    CooMatrix coo = csrToCoo(a);
+    Rng rng(5);
+    for (std::size_t i = coo.nnz(); i > 1; --i) {
+        const std::size_t j = rng.below(i);
+        std::swap(coo.row[i - 1], coo.row[j]);
+        std::swap(coo.col[i - 1], coo.col[j]);
+        std::swap(coo.val[i - 1], coo.val[j]);
+    }
+    EXPECT_EQ(cooToCsr(coo), a);
+}
+
+TEST(Format, CooToCsrKeepsRepeatsInInputOrder)
+{
+    CooMatrix coo;
+    coo.rows = 3;
+    coo.cols = 4;
+    coo.row = {2, 0, 2, 0, 2, 0};
+    coo.col = {1, 3, 1, 0, 1, 3};
+    coo.val = {1, 2, 3, 4, 5, 6};
+    const CsrMatrix a = cooToCsr(coo);
+    EXPECT_EQ(a.ptr, (std::vector<std::uint32_t>{0, 3, 3, 6}));
+    EXPECT_EQ(a.idx, (std::vector<Index>{0, 3, 3, 1, 1, 1}));
+    EXPECT_EQ(a.val, (std::vector<Value>{4, 2, 6, 1, 3, 5}));
+}
+
+TEST(Format, CooToCsrRejectsRowOutOfRange)
+{
+    CooMatrix coo;
+    coo.rows = 2;
+    coo.cols = 2;
+    coo.row = {0, 2};
+    coo.col = {0, 1};
+    coo.val = {1, 1};
+    EXPECT_THROW(cooToCsr(coo), std::runtime_error);
+}
+
+TEST(Generate, CircuitFitsItsRails)
+{
+    // Supply rails are rows/columns of the matrix; a matrix with fewer
+    // rows than the default rail count must not place a rail outside.
+    for (Index rows : {1u, 2u, 3u}) {
+        const CsrMatrix a = generateCircuit(rows, 40, 3);
+        a.validate();
+        EXPECT_EQ(a.rows, rows);
+        EXPECT_GE(a.nnz(), rows); // the diagonal
+    }
+    EXPECT_THROW(generateCircuit(0, 40, 3), std::runtime_error);
+}
+
+TEST(Coords, DistinctKeysGrowsAndKeepsInsertionOrder)
+{
+    // Sized for one key, fed far more: the table must grow without
+    // losing or reordering keys, and repeats must be refused.
+    DistinctKeys set(1);
+    std::vector<std::uint64_t> expect;
+    Rng rng(3);
+    for (int i = 0; i < 5000; ++i) {
+        const std::uint64_t key =
+            packKey(static_cast<Index>(rng.below(300)),
+                    static_cast<Index>(rng.below(300)));
+        const bool fresh =
+            std::find(expect.begin(), expect.end(), key) == expect.end();
+        EXPECT_EQ(set.insert(key), fresh);
+        if (fresh)
+            expect.push_back(key);
+    }
+    EXPECT_EQ(set.size(), expect.size());
+    EXPECT_EQ(set.take(), expect);
 }
