@@ -143,7 +143,7 @@ KernelJob::KernelJob(const SystemConfig &config,
     : kind_(Kind::Transpose), config_(config),
       transposePlan_(std::move(plan))
 {
-    buildComponents(config, tracer);
+    buildComponents(tracer);
 }
 
 KernelJob::KernelJob(const SystemConfig &config,
@@ -154,7 +154,7 @@ KernelJob::KernelJob(const SystemConfig &config,
 {
     menda_assert(x_.size() == spmvPlan_->cols,
                  "spmv: vector length mismatch");
-    buildComponents(config, tracer);
+    buildComponents(tracer);
 }
 
 KernelJob::KernelJob(const SystemConfig &config,
@@ -162,13 +162,13 @@ KernelJob::KernelJob(const SystemConfig &config,
                      obs::Tracer *tracer)
     : kind_(Kind::Spgemm), config_(config), spgemmPlan_(std::move(plan))
 {
-    buildComponents(config, tracer);
+    buildComponents(tracer);
 }
 
 KernelJob::~KernelJob() = default;
 
 void
-KernelJob::buildComponents(const SystemConfig &config, obs::Tracer *tracer)
+KernelJob::buildComponents(obs::Tracer *tracer)
 {
     if (config_.samplePeriod != 0) {
         config_.pu.samplePeriod = config_.samplePeriod;
@@ -182,7 +182,6 @@ KernelJob::buildComponents(const SystemConfig &config, obs::Tracer *tracer)
                                        : spgemmPlan_->csr.size();
     menda_assert(have == n_pus,
                  "kernel plan was built for a different rank count");
-    (void)config;
 
     wallStart_ = std::chrono::steady_clock::now();
     mems_.reserve(n_pus);
@@ -437,7 +436,6 @@ KernelJob::collect(RunResult &result)
             std::max(result.errorBoundPct, st.errorBoundPct);
         result.fastForwardedCycles += st.fastForwardedCycles;
     }
-    finishedCollect_ = true;
 }
 
 TransposeResult

@@ -2,11 +2,8 @@
  * @file
  * Resumable kernel execution: plans + jobs (DESIGN.md §13).
  *
- * MendaSystem's kernel entry points used to be run-to-completion: build
- * the per-rank slices, construct one (PU, controller) pair per rank,
- * tick everything to done(), collect. menda_serve needs the same kernels
- * as *jobs* that interleave on one simulated machine, so the pipeline is
- * split in two:
+ * A kernel runs as a plan plus a job, so that menda_serve can
+ * interleave many kernels on one simulated machine:
  *
  *  - a *plan* is the host-side allocation + layout work for one matrix:
  *    the NNZ- (or merge-work-) balanced partitioning, the extracted
@@ -18,10 +15,11 @@
  *    cycle slices via step(), so a scheduler can interleave many jobs
  *    on one machine and a long SpGEMM cannot starve short SpMVs.
  *
- * runToCompletion() preserves the classic batch behavior (including the
- * host thread pool); outputs, counters, and reports are bit-identical
- * between stepped and batch execution because pausing runUntil() does
- * not change the tick sequence.
+ * runToCompletion() runs every rank to done() (on the host thread pool
+ * when asked); MendaSystem's kernel entry points use it. Outputs,
+ * counters, and reports are bit-identical between stepped and
+ * run-to-completion execution because pausing runUntil() does not
+ * change the tick sequence.
  */
 
 #ifndef MENDA_MENDA_JOB_HH
@@ -126,8 +124,8 @@ class KernelJob
      */
     bool step(Cycle max_pu_cycles);
 
-    /** Classic batch execution: run every rank to completion, using the
-     *  host thread pool when config.hostThreads != 1. */
+    /** Run every rank to completion, using the host thread pool when
+     *  config.hostThreads != 1. */
     void runToCompletion();
 
     /** PU cycles of the slowest rank so far (exact once done). */
@@ -159,7 +157,7 @@ class KernelJob
         Cycle nextMark = 0; ///< next --progress heartbeat boundary
     };
 
-    void buildComponents(const SystemConfig &config, obs::Tracer *tracer);
+    void buildComponents(obs::Tracer *tracer);
     void runShardToCompletion(std::size_t i);
     void runFastRank(std::size_t i);
     double finishSeconds() const;
@@ -182,7 +180,6 @@ class KernelJob
 
     std::chrono::steady_clock::time_point wallStart_;
     std::vector<std::vector<IterationStats>> iterStats_;
-    bool finishedCollect_ = false;
 };
 
 } // namespace menda::core

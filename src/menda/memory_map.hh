@@ -17,6 +17,18 @@
 namespace menda::core
 {
 
+/** 4-byte array elements per 64 B block. */
+inline constexpr std::uint64_t elemsPerBlock = blockBytes / 4;
+
+/** Aligned 64 B spans of a 4-byte-element array covering [begin, end). */
+constexpr std::uint64_t
+spanBlocks(std::uint64_t begin, std::uint64_t end)
+{
+    if (begin >= end)
+        return 0;
+    return (end - 1) / elemsPerBlock - begin / elemsPerBlock + 1;
+}
+
 /** Identifies a simulated array for address computation. */
 enum class Region : std::uint8_t
 {

@@ -53,6 +53,9 @@ class MergeTree
     unsigned peCount() const { return leaves_ - 1; }
     unsigned levels() const { return levels_; }
 
+    /** The merge key every PE compares. */
+    MergeKey key() const { return key_; }
+
     /** Stream slots (== leaves); slot s feeds leaf PE s/2, side s%2. */
     unsigned streamSlots() const { return leaves_; }
 

@@ -7,13 +7,6 @@
 namespace menda::core
 {
 
-namespace
-{
-
-constexpr std::uint64_t elemsPerBlock = blockBytes / 4;
-
-} // namespace
-
 OutputUnit::OutputUnit(const PuConfig &config, const PuMemoryMap *map)
     : config_(&config), map_(map)
 {

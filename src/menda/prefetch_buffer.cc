@@ -7,14 +7,6 @@
 namespace menda::core
 {
 
-namespace
-{
-
-/** Elements per aligned 64 B span of a 4-byte array. */
-constexpr std::uint64_t elemsPerBlock = blockBytes / 4;
-
-} // namespace
-
 PrefetchBuffer::PrefetchBuffer(unsigned slot, const PuConfig &config,
                                const PuMemoryMap *map, ElementReader reader,
                                CondensedChunkPlanner condensed)

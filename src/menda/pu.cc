@@ -13,17 +13,6 @@ namespace
 
 constexpr std::uint32_t controllerRequester = 0xffffffffu;
 
-constexpr std::uint64_t elemsPerBlock = blockBytes / 4;
-
-/** Aligned 64 B spans of a 4-byte-element array covering [begin, end). */
-std::uint64_t
-spanBlocks(std::uint64_t begin, std::uint64_t end)
-{
-    if (begin >= end)
-        return 0;
-    return (end - 1) / elemsPerBlock - begin / elemsPerBlock + 1;
-}
-
 } // namespace
 
 void

@@ -302,6 +302,23 @@ class Pu : public Ticked
     std::uint64_t functionalMergeRounds(std::uint64_t &write_blocks,
                                         const CheckpointFn &checkpoint);
 
+    /** Charges one iteration: (elements, read blocks, write blocks). */
+    using IterationChargeFn = std::function<void(
+        std::uint64_t elements, std::uint64_t read_blocks,
+        std::uint64_t write_blocks)>;
+
+    /**
+     * The one iteration loop of both fast tiers: start(), then merge
+     * every iteration functionally (firing @p checkpoint, if set, every
+     * checkpoint stride), charge it through @p charge, record its
+     * traffic, and report @p progress as (cycle_,
+     * st.fastForwardedCycles).
+     */
+    void runFastIterations(const CheckpointFn &checkpoint,
+                           const IterationChargeFn &charge,
+                           const ProgressHook &progress,
+                           const FastSimStats &st);
+
     /** Feed one root packet to output_ and drain its stores. */
     void acceptFunctional(const Packet &packet,
                           std::uint64_t &write_blocks);

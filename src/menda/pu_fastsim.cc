@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -38,29 +39,6 @@ namespace menda::core
 
 namespace
 {
-
-/** The merge key each PU mode's tree compares (mirrors the Pu ctors). */
-MergeKey
-keyForMode(PuMode mode)
-{
-    switch (mode) {
-      case PuMode::Transpose: return MergeKey::Column;
-      case PuMode::Spmv: return MergeKey::Row;
-      case PuMode::Spgemm: return MergeKey::RowCol;
-    }
-    return MergeKey::Column;
-}
-
-constexpr std::uint64_t elemsPerBlock = blockBytes / 4;
-
-/** Aligned 64 B spans of a 4-byte-element array covering [begin, end). */
-std::uint64_t
-spanBlocks(std::uint64_t begin, std::uint64_t end)
-{
-    if (begin >= end)
-        return 0;
-    return (end - 1) / elemsPerBlock - begin / elemsPerBlock + 1;
-}
 
 /** Elements retired between checkpoint calls (amortizes the hook). */
 constexpr std::uint64_t checkpointStride = 1024;
@@ -79,7 +57,7 @@ Pu::Pu(const Pu &parent, std::vector<StreamDesc> streams, bool final_iter,
       rowOffset_(parent.rowOffset_),
       map_(parent.map_),
       mem_(mem),
-      tree_(parent.config_, keyForMode(parent.mode_)),
+      tree_(parent.config_, parent.tree_.key()),
       output_(config_, &map_)
 {
     // Throwaway measurement clone: never sampled, never traced; COO
@@ -202,7 +180,7 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
 {
     const std::uint64_t n = streamCount();
     const unsigned leaves = config_.leaves;
-    const MergeKey key = keyForMode(mode_);
+    const MergeKey key = tree_.key();
     // SpMV reduces in every iteration; SpGEMM only in the final one; a
     // transposition never does — exactly doRootPop's dispatch.
     const bool reduce = mode_ == PuMode::Spmv ||
@@ -215,6 +193,7 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
         Packet cur;
     };
     std::vector<Slot> slots(leaves);
+    std::uint64_t base = 0; ///< ordinal of the current round's slot 0
 
     // Pre-size the merged arrays: vector growth inside the per-element
     // accept path is pure overhead at this tier.
@@ -225,6 +204,62 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
             total += d.end - d.begin;
     }
     output_.reserveMerged(total);
+
+    // The remaining work a measurement window replays, slot-aligned:
+    // each slot's stream of the current round from begin_of(slot) on
+    // (exhausted slots become padding), then every later round's
+    // streams untouched. begin_of is called in slot order.
+    const auto remaining = [&](auto &&begin_of) {
+        std::vector<StreamDesc> out;
+        out.reserve(leaves + (n > base + leaves ? n - base - leaves : 0));
+        for (unsigned t = 0; t < leaves; ++t) {
+            StreamDesc d = slots[t].desc;
+            d.begin = begin_of(t);
+            if (d.begin >= d.end)
+                d = StreamDesc{};
+            out.push_back(d);
+        }
+        for (std::uint64_t ord = base + leaves; ord < n; ++ord)
+            out.push_back(streamForOrdinal(ord));
+        return out;
+    };
+    // Remaining work once the merge has emitted every element keyed
+    // below k and then the first `budget` elements keyed k. The tree
+    // pops equal keys lowest slot first, so the budget is spent in slot
+    // order. Paths that emit in key order rather than by cursors (the
+    // SpMV accumulator, the transpose counting sort) rebuild the
+    // cursors this way.
+    const auto frontier = [&](std::uint64_t k, std::uint64_t budget) {
+        return remaining([&](unsigned t) {
+            const StreamDesc &d = slots[t].desc;
+            std::uint64_t b = d.begin;
+            while (b < d.end && mergeKey(readElement(d, b), key) < k)
+                ++b;
+            for (; budget != 0 && b < d.end &&
+                   mergeKey(readElement(d, b), key) == k;
+                 --budget)
+                ++b;
+            return b;
+        });
+    };
+
+    // Counts retired elements down to the next checkpoint. A path that
+    // retires several at once (an accumulated SpMV row) fires when it
+    // reaches or crosses the stride. `suffix` builds the remaining work
+    // only when the checkpoint fires.
+    std::uint64_t retired = 0;
+    std::uint64_t until_checkpoint = checkpointStride;
+    const auto retire = [&](std::uint64_t consumed, const auto &suffix) {
+        retired += consumed;
+        if (!checkpoint)
+            return;
+        if (consumed < until_checkpoint) {
+            until_checkpoint -= consumed;
+            return;
+        }
+        until_checkpoint = checkpointStride;
+        checkpoint(retired, suffix);
+    };
 
     // Tournament (loser) tree on (merge key, slot index): a PE tie pops
     // its LEFT child, which composes across the tree to lowest-slot-wins
@@ -271,15 +306,12 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
     const Index sort_cols =
         mode_ == PuMode::Transpose && csr_ ? csr_->cols : 0;
     std::vector<Packet> staged, placed;
-    std::vector<std::uint16_t> staged_slot, placed_slot;
     std::vector<std::uint32_t> col_ofs;
     if (sort_cols != 0)
         col_ofs.resize(std::size_t(sort_cols) + 1);
 
-    std::uint64_t retired = 0;
-    std::uint64_t until_checkpoint = checkpointStride;
     for (std::uint64_t round = 0; round < roundsTotal_; ++round) {
-        const std::uint64_t base = round * leaves;
+        base = round * leaves;
         ext.clear();
         std::uint64_t round_elems = 0;
         for (unsigned s = 0; s < leaves; ++s) {
@@ -294,24 +326,6 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
                 ext.push_back(makeEntry(mergeKey(slot.cur, key), s));
             }
         }
-        // Slot-aligned remaining work: the current round's live cursors
-        // (exhausted slots become padding), then every later round's
-        // streams untouched.
-        const SuffixFn suffix = [&]() {
-            std::vector<StreamDesc> out;
-            out.reserve(leaves +
-                        (n > base + leaves ? n - base - leaves : 0));
-            for (unsigned t = 0; t < leaves; ++t) {
-                StreamDesc d = slots[t].desc;
-                d.begin = slots[t].cursor;
-                if (d.begin >= d.end)
-                    d = StreamDesc{};
-                out.push_back(d);
-            }
-            for (std::uint64_t ord = base + leaves; ord < n; ++ord)
-                out.push_back(streamForOrdinal(ord));
-            return out;
-        };
         // SpMV reduces on the row alone and every stream's rows
         // strictly increase, so for any output row the contributions
         // arrive in ascending slot order — the exact order the merge
@@ -344,9 +358,8 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
             // Ascending-row drain; the last touched row carries the
             // round's end-of-line token, as the tree's root would.
             // Checkpoints fire in OUTPUT order: emitting row r means
-            // exactly the elements with row <= r are consumed from
-            // every stream, so the (lazy) suffix replays each stream
-            // to that frontier — the same state the tree would be in.
+            // every element with row <= r is consumed from every
+            // stream — the same state the tree would be in.
             Packet pend;
             for (Index r = 0; r < dense_rows; ++r) {
                 if (dense_stamp[r] != epoch)
@@ -354,37 +367,10 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
                 if (pend.valid)
                     acceptFunctional(pend, write_blocks);
                 pend = Packet::data(r, dense_col[r], dense_val[r]);
-                const std::uint64_t consumed = dense_cnt[r];
-                retired += consumed;
-                if (checkpoint) {
-                    if (consumed >= until_checkpoint) {
-                        until_checkpoint = checkpointStride;
-                        const SuffixFn frontier = [&, r]() {
-                            std::vector<StreamDesc> out;
-                            out.reserve(
-                                leaves + (n > base + leaves
-                                              ? n - base - leaves
-                                              : 0));
-                            for (unsigned t = 0; t < leaves; ++t) {
-                                StreamDesc d = slots[t].desc;
-                                while (d.begin < d.end &&
-                                       readElement(d, d.begin).row <=
-                                           r)
-                                    ++d.begin;
-                                if (d.begin >= d.end)
-                                    d = StreamDesc{};
-                                out.push_back(d);
-                            }
-                            for (std::uint64_t ord = base + leaves;
-                                 ord < n; ++ord)
-                                out.push_back(streamForOrdinal(ord));
-                            return out;
-                        };
-                        checkpoint(retired, frontier);
-                    } else {
-                        until_checkpoint -= consumed;
-                    }
-                }
+                retire(dense_cnt[r], [&, r] {
+                    return frontier(
+                        r, std::numeric_limits<std::uint64_t>::max());
+                });
             }
             if (pend.valid) {
                 pend.eol = true;
@@ -403,16 +389,12 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
         // rounds (histogram would dwarf the data) keep the tree.
         if (sort_cols != 0 && round_elems >= sort_cols / 4) {
             staged.clear();
-            staged_slot.clear();
             staged.reserve(round_elems);
-            staged_slot.reserve(round_elems);
             for (unsigned s = 0; s < leaves; ++s) {
                 Slot &slot = slots[s];
                 while (slot.cursor < slot.desc.end) {
                     staged.push_back(
                         readElement(slot.desc, slot.cursor));
-                    staged_slot.push_back(
-                        static_cast<std::uint16_t>(s));
                     ++slot.cursor;
                 }
             }
@@ -422,44 +404,20 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
             for (std::size_t c = 1; c < col_ofs.size(); ++c)
                 col_ofs[c] += col_ofs[c - 1];
             placed.resize(staged.size());
-            placed_slot.resize(staged.size());
-            for (std::size_t i = 0; i < staged.size(); ++i) {
-                const std::uint32_t at = col_ofs[staged[i].col]++;
-                placed[at] = staged[i];
-                placed_slot[at] = staged_slot[i];
-            }
+            for (const Packet &p : staged)
+                placed[col_ofs[p.col]++] = p;
             // Emission IS the merge order, so checkpoints fire exactly
-            // as the tree's would; the (lazy) suffix counts how many
-            // elements each slot contributed to the emitted prefix.
+            // as the tree's would. The scatter left col_ofs[c] at the
+            // end of column c, so column c starts at col_ofs[c - 1].
             for (std::size_t i = 0; i < placed.size(); ++i) {
                 Packet p = placed[i];
                 p.eol = false;
                 acceptFunctional(p, write_blocks);
-                ++retired;
-                if (checkpoint && --until_checkpoint == 0) {
-                    until_checkpoint = checkpointStride;
-                    const SuffixFn frontier = [&, i]() {
-                        std::vector<std::uint64_t> consumed(leaves, 0);
-                        for (std::size_t j = 0; j <= i; ++j)
-                            ++consumed[placed_slot[j]];
-                        std::vector<StreamDesc> out;
-                        out.reserve(leaves + (n > base + leaves
-                                                  ? n - base - leaves
-                                                  : 0));
-                        for (unsigned t = 0; t < leaves; ++t) {
-                            StreamDesc d = slots[t].desc;
-                            d.begin += consumed[t];
-                            if (d.begin >= d.end)
-                                d = StreamDesc{};
-                            out.push_back(d);
-                        }
-                        for (std::uint64_t ord = base + leaves;
-                             ord < n; ++ord)
-                            out.push_back(streamForOrdinal(ord));
-                        return out;
-                    };
-                    checkpoint(retired, frontier);
-                }
+                retire(1, [&, i] {
+                    const Index c = placed[i].col;
+                    const std::uint64_t first = c ? col_ofs[c - 1] : 0;
+                    return frontier(c, i + 1 - first);
+                });
             }
             acceptFunctional(Packet::endOfLine(), write_blocks);
             continue;
@@ -500,11 +458,10 @@ Pu::functionalMergeRounds(std::uint64_t &write_blocks,
                     red = p;
                 }
             }
-            ++retired;
-            if (checkpoint && --until_checkpoint == 0) {
-                until_checkpoint = checkpointStride;
-                checkpoint(retired, suffix);
-            }
+            retire(1, [&] {
+                return remaining(
+                    [&](unsigned t) { return slots[t].cursor; });
+            });
         };
         while (live > 1) {
             const unsigned w = winner;
@@ -632,8 +589,10 @@ Pu::estimateIterationCycles(std::uint64_t elements,
                std::ceil(std::max(pu_bound, mem_bound) / efficiency));
 }
 
-FastSimStats
-Pu::runFunctional(const ProgressHook &progress)
+void
+Pu::runFastIterations(const CheckpointFn &checkpoint,
+                      const IterationChargeFn &charge,
+                      const ProgressHook &progress, const FastSimStats &st)
 {
     start();
     while (phase_ == Phase::Running) {
@@ -644,20 +603,34 @@ Pu::runFunctional(const ProgressHook &progress)
             output_.storeIssued();
             ++writes;
         }
-        const std::uint64_t elems = functionalMergeRounds(writes, {});
+        const std::uint64_t elems =
+            functionalMergeRounds(writes, checkpoint);
         const std::uint64_t reads = functionalReadBlockEstimate();
-        cycle_ += estimateIterationCycles(elems, reads, writes);
+        charge(elems, reads, writes);
         mem_->noteFunctionalTraffic(reads, writes);
         if (occupancySamples_.enabled())
             occupancySamples_.fillTo(cycle_, 0);
         if (progress)
-            progress(cycle_, cycle_);
+            progress(cycle_, st.fastForwardedCycles);
         finishIteration();
     }
     if (phase_ == Phase::Draining)
         phase_ = Phase::Done; // the controller never saw a request
+}
+
+FastSimStats
+Pu::runFunctional(const ProgressHook &progress)
+{
     FastSimStats st;
-    st.fastForwardedCycles = cycle_;
+    runFastIterations(
+        {},
+        [&](std::uint64_t elems, std::uint64_t reads,
+            std::uint64_t writes) {
+            const Cycle c = estimateIterationCycles(elems, reads, writes);
+            cycle_ += c;
+            st.fastForwardedCycles += c;
+        },
+        progress, st);
     return st;
 }
 
@@ -786,57 +759,43 @@ Pu::runSampled(const SampledConfig &sampled, const ProgressHook &progress)
         st.fastForwardedCycles += c;
     };
 
-    start();
     // The anchor covered the head of iteration 0; every later iteration
     // forces one window at its first checkpoint, because merge rates
     // shift across iterations (short runs vs long runs, SpGEMM's gather
     // pass vs its final merge) and extrapolating a stale rate across an
     // iteration boundary was the dominant residual error.
     bool force_window = false;
-    while (phase_ == Phase::Running) {
-        std::uint64_t writes = 0;
-        while (output_.hasPendingStore()) {
-            output_.storeIssued();
-            ++writes;
+    std::uint64_t last_retired = 0; ///< charged so far this iteration
+    const CheckpointFn checkpoint = [&](std::uint64_t retired,
+                                        const SuffixFn &suffix) {
+        charge(retired - last_retired);
+        last_retired = retired;
+        if (force_window ||
+            cycle_ - last_window_end >=
+                Cycle(double(sampled.periodCycles) * gap_mult)) {
+            force_window = false;
+            dram::MemoryController wmem(name_ + ".winmem", mem_->config(),
+                                        config_.requestCoalescing);
+            Pu win(*this, suffix(), finalIteration_, &wmem);
+            win.startWindow();
+            win.primeWindow(buf_fill);
+            measure(win, wmem);
         }
-        std::uint64_t last_retired = 0;
-        const CheckpointFn checkpoint = [&](std::uint64_t retired,
-                                            const SuffixFn &suffix) {
-            charge(retired - last_retired);
-            last_retired = retired;
-            if (force_window ||
-                cycle_ - last_window_end >=
-                    Cycle(double(sampled.periodCycles) * gap_mult)) {
-                force_window = false;
-                dram::MemoryController wmem(name_ + ".winmem",
-                                            mem_->config(),
-                                            config_.requestCoalescing);
-                Pu win(*this, suffix(), finalIteration_, &wmem);
-                win.startWindow();
-                win.primeWindow(buf_fill);
-                measure(win, wmem);
-            }
-            if (progress)
-                progress(cycle_, st.fastForwardedCycles);
-        };
-        const std::uint64_t elems =
-            functionalMergeRounds(writes, checkpoint);
-        charge(elems - last_retired);
-        const std::uint64_t reads = functionalReadBlockEstimate();
-        mem_->noteFunctionalTraffic(reads, writes);
-        if (occupancySamples_.enabled())
-            occupancySamples_.fillTo(cycle_, 0);
         if (progress)
             progress(cycle_, st.fastForwardedCycles);
-        finishIteration();
-        force_window = true;
-        // Rates do not survive iteration boundaries (gather pass vs
-        // final merge); neither does the stability credit.
-        iter_rates.clear();
-        gap_mult = 1.0;
-    }
-    if (phase_ == Phase::Draining)
-        phase_ = Phase::Done;
+    };
+    runFastIterations(
+        checkpoint,
+        [&](std::uint64_t elems, std::uint64_t, std::uint64_t) {
+            charge(elems - last_retired);
+            last_retired = 0;
+            force_window = true;
+            // Rates do not survive iteration boundaries (gather pass vs
+            // final merge); neither does the stability credit.
+            iter_rates.clear();
+            gap_mult = 1.0;
+        },
+        progress, st);
     st.errorBoundPct = sampled::errorBoundPct(rates);
     return st;
 }

@@ -59,8 +59,8 @@ struct SystemConfig
     /**
      * Period, in component cycles, of the time-series samplers (merge
      * tree occupancy, RD/WR queue depth). 0 disables sampling. A
-     * non-zero period is propagated into PuConfig and DramConfig at
-     * system construction.
+     * non-zero period is propagated into PuConfig and DramConfig when
+     * a KernelJob builds its components.
      */
     std::uint64_t samplePeriod = 0;
 
@@ -187,13 +187,7 @@ struct SpgemmResult : RunResult
 class MendaSystem
 {
   public:
-    explicit MendaSystem(const SystemConfig &config) : config_(config)
-    {
-        if (config_.samplePeriod != 0) {
-            config_.pu.samplePeriod = config_.samplePeriod;
-            config_.dram.samplePeriod = config_.samplePeriod;
-        }
-    }
+    explicit MendaSystem(const SystemConfig &config) : config_(config) {}
 
     const SystemConfig &config() const { return config_; }
 
